@@ -106,7 +106,7 @@ func RunSubject(recs []trace.Record, cfg Config) (*detector.Race, error) {
 	}
 	for _, rec := range recs {
 		switch rec.Kind {
-		case "access":
+		case trace.KindAccess:
 			ev, err := rec.Event()
 			if err != nil {
 				return nil, err
@@ -117,17 +117,17 @@ func RunSubject(recs []trace.Record, cfg Config) (*detector.Race, error) {
 					return race, nil
 				}
 			}
-		case "epoch_end":
+		case trace.KindEpochEnd:
 			if race := flush(rec.Owner); race != nil {
 				return race, nil
 			}
 			get(rec.Owner).EpochEnd()
-		case "release":
+		case trace.KindRelease:
 			if race := flush(rec.Owner); race != nil {
 				return race, nil
 			}
 			get(rec.Owner).Release(rec.Rank)
-		case "complete":
+		case trace.KindComplete:
 			if race := flush(rec.Owner); race != nil {
 				return race, nil
 			}
@@ -264,7 +264,7 @@ func runMustRep(recs []trace.Record, shared *detector.MustShared) (*detector.Rac
 	}
 	for _, rec := range recs {
 		switch rec.Kind {
-		case "access":
+		case trace.KindAccess:
 			ev, err := rec.Event()
 			if err != nil {
 				return nil, err
@@ -272,11 +272,11 @@ func runMustRep(recs []trace.Record, shared *detector.MustShared) (*detector.Rac
 			if race := get(rec.Owner).Access(ev); race != nil {
 				return race, nil
 			}
-		case "epoch_end":
+		case trace.KindEpochEnd:
 			get(rec.Owner).EpochEnd()
-		case "release":
+		case trace.KindRelease:
 			get(rec.Owner).Release(rec.Rank)
-		case "complete":
+		case trace.KindComplete:
 			// MUST-RMA has no request-completion notion; keeping the
 			// accesses is sound (completion only ever removes pairs), and
 			// both clock representations see the identical no-op.

@@ -403,7 +403,7 @@ func TestTraceCodecAgreesOnCorpus(t *testing.T) {
 		p := Normalize(s.P)
 		for _, sched := range testSchedules {
 			recs := Render(p, sched)
-			if d, ok, err := diffTraceCodec(recs, p.Ranks); err != nil {
+			if d, ok, err := diffTraceCodec(recs, p.Ranks*p.Windows); err != nil {
 				t.Fatalf("%s sched=%d: %v", s.Name, sched, err)
 			} else if ok {
 				t.Errorf("%s sched=%d: %s", s.Name, sched, d)

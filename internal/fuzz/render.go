@@ -159,7 +159,7 @@ func Render(p Program, schedSeed int64) []trace.Record {
 				continue // rank-internal thread sync: no records
 			case OpWaitAll:
 				for _, iv := range outstanding[o] {
-					recs = append(recs, trace.Record{Kind: "complete", Owner: o, Rank: o, Lo: iv.Lo, Hi: iv.Hi})
+					recs = append(recs, trace.Record{Kind: trace.KindComplete, Owner: o, Rank: o, Lo: iv.Lo, Hi: iv.Hi})
 				}
 				outstanding[o] = outstanding[o][:0]
 				continue
@@ -185,7 +185,7 @@ func Render(p Program, schedSeed int64) []trace.Record {
 					outstanding[o] = append(outstanding[o], oiv)
 				}
 				if p.Sync == SyncLock && !op.Shared {
-					recs = append(recs, trace.Record{Kind: "release", Owner: tgt, Rank: o})
+					recs = append(recs, trace.Record{Kind: trace.KindRelease, Owner: tgt, Rank: o})
 				}
 				continue
 			}
@@ -207,7 +207,7 @@ func Render(p Program, schedSeed int64) []trace.Record {
 		}
 		if p.Sync != SyncLock {
 			for s := 0; s < streams; s++ {
-				recs = append(recs, trace.Record{Kind: "epoch_end", Owner: s})
+				recs = append(recs, trace.Record{Kind: trace.KindEpochEnd, Owner: s})
 				ep[s]++
 			}
 			for r := range outstanding {

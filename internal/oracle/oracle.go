@@ -172,17 +172,17 @@ func (o *Oracle) SameVerdicts(p *Oracle) bool {
 // Feed processes one trace record. Unknown kinds are an error.
 func (o *Oracle) Feed(rec trace.Record) error {
 	switch rec.Kind {
-	case "access":
+	case trace.KindAccess:
 		ev, err := rec.Event()
 		if err != nil {
 			return err
 		}
 		o.Access(rec.Owner, ev.Acc)
-	case "epoch_end":
+	case trace.KindEpochEnd:
 		o.EpochEnd(rec.Owner)
-	case "release":
+	case trace.KindRelease:
 		o.Release(rec.Owner, rec.Rank)
-	case "complete":
+	case trace.KindComplete:
 		o.Complete(rec.Owner, rec.Rank, interval.New(rec.Lo, rec.Hi))
 	default:
 		return fmt.Errorf("oracle: unknown record kind %q", rec.Kind)
@@ -193,8 +193,9 @@ func (o *Oracle) Feed(rec trace.Record) error {
 // FromTrace runs the oracle over a whole trace stream.
 func FromTrace(r *trace.Reader) (*Oracle, error) {
 	o := New()
+	var rec trace.Record
 	for {
-		rec, err := r.Next()
+		err := r.Read(&rec)
 		if err == io.EOF {
 			return o, nil
 		}

@@ -16,7 +16,11 @@
 // share a bounded worker pool: at most Workers replays run at once,
 // the rest queue on the pool semaphore (serve_queue_wait_nanos is the
 // backpressure signal). Per-session ingest quotas — max bytes, max
-// records — abort an over-limit stream with 413 mid-flight.
+// records — abort an over-limit stream with 413 mid-flight. A
+// malformed trace (including a record naming a rank outside the
+// header's world) fails its session with 400; a panic in the analysis
+// fails it with 500, and either way the session is retired and its
+// slots released.
 //
 // Endpoints:
 //
@@ -49,6 +53,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"time"
@@ -155,6 +160,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxRanks bounds the world a served trace may declare: per-rank
+// replay state (MUST-RMA's clocks, replay timestamps) grows with it.
+const maxRanks = 1 << 20
+
 // Daemon is the resident multi-tenant analysis service. It implements
 // http.Handler; Start binds it to a listener with the telemetry
 // package's server lifecycle.
@@ -164,6 +173,9 @@ type Daemon struct {
 	log   *slog.Logger
 	slots chan struct{} // worker-pool semaphore
 	mux   *http.ServeMux
+	// newFactory builds each session's analyzers: NewAnalyzerFactory,
+	// swapped only by tests that need a misbehaving analyzer.
+	newFactory func(detector.Method, int, string, int, obs.Recorder) (func(int) detector.Analyzer, *detector.MustShared, error)
 
 	mu       sync.Mutex
 	inflight int
@@ -192,6 +204,7 @@ func NewDaemon(cfg Config) *Daemon {
 		tenants:  make(map[string]*tenantState),
 		sessions: make(map[string]*Session),
 	}
+	d.newFactory = NewAnalyzerFactory
 	d.mux = http.NewServeMux()
 	d.mux.HandleFunc("POST /v1/analyze", d.handleAnalyze)
 	d.mux.HandleFunc("GET /v1/sessions", d.handleSessions)
@@ -446,12 +459,20 @@ func (d *Daemon) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // returns the HTTP status plus the verdict document. The session is
 // updated in place. queueWait is how long the session sat on the
 // worker-pool semaphore (the queue stage of the latency accounting).
-func (d *Daemon) runSession(ctx context.Context, s *Session, ts *tenantState, body io.Reader, queueWait time.Duration) (int, *Verdict) {
+// A panic in the analysis fails the session with 500 instead of
+// escaping the handler, so the caller still retires it.
+func (d *Daemon) runSession(ctx context.Context, s *Session, ts *tenantState, body io.Reader, queueWait time.Duration) (status int, v *Verdict) {
 	fail := func(status int, err error) (int, *Verdict) {
 		s.fail(err)
 		d.log.WarnContext(ctx, "session failed", "status", status, "error", err.Error())
 		return status, s.Verdict()
 	}
+	defer func() {
+		if p := recover(); p != nil {
+			d.log.ErrorContext(ctx, "analysis panicked", "panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+			status, v = fail(http.StatusInternalServerError, fmt.Errorf("internal error: analysis panicked: %v", p))
+		}
+	}()
 	lim := &limitedBody{r: body, remaining: d.cfg.MaxSessionBytes, unlimited: d.cfg.MaxSessionBytes <= 0}
 	src, format, err := tracebin.Open(lim)
 	if err != nil {
@@ -463,6 +484,9 @@ func (d *Daemon) runSession(ctx context.Context, s *Session, ts *tenantState, bo
 	}
 	s.setFormat(format)
 	head := src.Head()
+	if head.Ranks < 0 || head.Ranks > maxRanks {
+		return fail(http.StatusBadRequest, fmt.Errorf("trace header declares %d ranks, outside the daemon's limit [0, %d]", head.Ranks, maxRanks))
+	}
 
 	sreg := obs.NewRegistry()
 	// Stage accounting: the queue stage is measured by the handler; the
@@ -489,7 +513,7 @@ func (d *Daemon) runSession(ctx context.Context, s *Session, ts *tenantState, bo
 		s.setSpans(spans)
 	}
 
-	factory, shared, err := NewAnalyzerFactory(s.Opts.Method, head.Ranks, s.Opts.Store, s.Opts.Shards, sreg)
+	factory, shared, err := d.newFactory(s.Opts.Method, head.Ranks, s.Opts.Store, s.Opts.Shards, sreg)
 	if err != nil {
 		return fail(http.StatusBadRequest, err)
 	}

@@ -168,7 +168,7 @@ func GenerateTo(tw Sink, cfg GenConfig) (int, error) {
 				Time:     times[rank],
 				CallTime: times[rank],
 			}
-			if err := tw.Access(pickOwner(), ev); err != nil {
+			if err := tw.Record(AccessRecord(pickOwner(), ev)); err != nil {
 				return written, err
 			}
 			written++
@@ -193,7 +193,7 @@ func GenerateTo(tw Sink, cfg GenConfig) (int, error) {
 				}
 				// Both planted writes go to owner 0 so they meet at one
 				// analyzer regardless of the owner distribution.
-				if err := tw.Access(0, ev); err != nil {
+				if err := tw.Record(AccessRecord(0, ev)); err != nil {
 					return written, err
 				}
 				written++
@@ -203,7 +203,7 @@ func GenerateTo(tw Sink, cfg GenConfig) (int, error) {
 		// included: boundaries are what lets a replay's eviction policy
 		// observe that an owner has gone cold.
 		for o := 0; o < owners; o++ {
-			if err := tw.EpochEnd(o); err != nil {
+			if err := tw.Record(Record{Kind: KindEpochEnd, Owner: o}); err != nil {
 				return written, err
 			}
 		}

@@ -88,11 +88,6 @@ func Replay(r *Reader, newAnalyzer func(owner int) detector.Analyzer) (ReplayRes
 	return ReplayStream(r, newAnalyzer, ReplayOpts{})
 }
 
-// ReplayWith is Replay with observability options.
-func ReplayWith(r *Reader, newAnalyzer func(owner int) detector.Analyzer, opts ReplayOpts) (ReplayResult, error) {
-	return ReplayStream(r, newAnalyzer, opts)
-}
-
 // replayTick is the exported logical-time width of one replayed record
 // in nanoseconds: records render 1µs apart so Perfetto shows a readable
 // timeline regardless of the trace's own counters.
@@ -197,11 +192,15 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 		rec.SetMax(obs.PeakRSS, 0, int64(ms.HeapAlloc))
 	}
 
-	lastTime := make(map[int]uint64) // per issuing rank
-	epochT0 := make(map[int]int64)   // per owner, logical span start
-	epochN := make(map[int]int64)    // per owner, completed epochs
-	var step int64         // logical clock: one tick per replayed record
-	var flushedBytes int64 // ingest bytes already credited to the recorder
+	epochT0 := make(map[int]int64) // per owner, logical span start
+	epochN := make(map[int]int64)  // per owner, completed epochs
+	var step int64                 // logical clock: one tick per replayed record
+	var flushedBytes int64         // ingest bytes already credited to the recorder
+	// Records may name only ranks of the traced world: one outside it
+	// would index per-rank analyzer state (MUST-RMA's clocks) out of
+	// range. lastTime, per issuing rank, grows to the highest rank seen.
+	ranks := max(src.Head().Ranks, 0)
+	var lastTime []uint64
 	// finishIngest credits the counters' unflushed remainder and takes a
 	// final live-heap sample; it runs at EOF and on an early race stop.
 	finishIngest := func() {
@@ -239,6 +238,7 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 		return res
 	}
 	var r Record
+	var one detector.Event // the unbatched path's event
 	for {
 		err := src.Read(&r)
 		if err == io.EOF {
@@ -270,14 +270,26 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 				recordPeak()
 			}
 		}
+		if uint(r.Owner) >= uint(ranks) || uint(r.Rank) >= uint(ranks) {
+			return res, fmt.Errorf("trace: %s: owner %d or rank %d outside the trace's %d ranks", src.Pos(), r.Owner, r.Rank, ranks)
+		}
 		switch r.Kind {
-		case "access":
-			ev, err := r.Event()
-			if err != nil {
+		case KindAccess:
+			st := get(r.Owner)
+			// A batched event is built straight into its pending slot.
+			ev := &one
+			if batch > 1 {
+				st.pending = append(st.pending, detector.Event{})
+				ev = &st.pending[len(st.pending)-1]
+			}
+			if err := r.fill(ev); err != nil {
 				return res, fmt.Errorf("trace: %s: %w", src.Pos(), err)
 			}
-			if ev.Time <= lastTime[r.Rank] {
-				ev.Time = lastTime[r.Rank] + 1
+			if r.Rank >= len(lastTime) {
+				lastTime = append(lastTime, make([]uint64, r.Rank+1-len(lastTime))...)
+			}
+			if last := lastTime[r.Rank]; ev.Time <= last {
+				ev.Time = last + 1
 			}
 			lastTime[r.Rank] = ev.Time
 			if ev.CallTime == 0 || ev.CallTime > ev.Time {
@@ -294,13 +306,11 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 					A: int64(ev.Acc.Lo), B: int64(ev.Acc.Hi - ev.Acc.Lo + 1),
 				})
 			}
-			st := get(r.Owner)
 			st.sawAccess = true
 			if st.flight != nil {
 				st.flight.Access(ev.Acc)
 			}
 			if batch > 1 {
-				st.pending = append(st.pending, ev)
 				if len(st.pending) >= batch {
 					if race := flush(st); race != nil {
 						return stamp(r.Owner, st, race), nil
@@ -308,10 +318,10 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 				}
 				continue
 			}
-			if race := st.a.Access(ev); race != nil {
+			if race := st.a.Access(one); race != nil {
 				return stamp(r.Owner, st, race), nil
 			}
-		case "release":
+		case KindRelease:
 			st := get(r.Owner)
 			if race := flush(st); race != nil {
 				return stamp(r.Owner, st, race), nil
@@ -320,7 +330,10 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 				st.flight.Mark(detector.FlightRelease, r.Rank)
 			}
 			st.a.Release(r.Rank)
-		case "complete":
+		case KindComplete:
+			if r.Hi < r.Lo {
+				return res, fmt.Errorf("trace: %s: inverted interval [%d, %d]", src.Pos(), r.Lo, r.Hi)
+			}
 			st := get(r.Owner)
 			if race := flush(st); race != nil {
 				return stamp(r.Owner, st, race), nil
@@ -329,7 +342,7 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 				st.flight.Mark(detector.FlightComplete, r.Rank)
 			}
 			detector.CompleteRequest(st.a, r.Rank, interval.New(r.Lo, r.Hi))
-		case "epoch_end":
+		case KindEpochEnd:
 			res.Epochs++
 			st := get(r.Owner)
 			if race := flush(st); race != nil {

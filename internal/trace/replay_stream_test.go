@@ -30,9 +30,9 @@ func replayBuf(t *testing.T, raw []byte, opts ReplayOpts) ReplayResult {
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
 	}
-	res, err := ReplayWith(r, newCore, opts)
+	res, err := ReplayStream(r, newCore, opts)
 	if err != nil {
-		t.Fatalf("ReplayWith: %v", err)
+		t.Fatalf("ReplayStream: %v", err)
 	}
 	return res
 }
@@ -68,6 +68,51 @@ func TestUnknownKindErrorCarriesPosition(t *testing.T) {
 	_, err = Replay(r, newCore)
 	if err == nil || !strings.Contains(err.Error(), "frobnicate") || !strings.Contains(err.Error(), "line 3") {
 		t.Fatalf("error %v does not name the unknown kind and its line", err)
+	}
+}
+
+// TestReplayRejectsOutOfRangeRanks: a record naming an owner or rank
+// outside the header's world is an error at its line, not an index
+// panic in per-rank analyzer state (MUST-RMA's clocks).
+func TestReplayRejectsOutOfRangeRanks(t *testing.T) {
+	const head = `{"kind":"header","ranks":2,"window":"w"}
+{"kind":"access","owner":0,"rank":1,"lo":0,"hi":7,"type":"rma_write","time":1}
+`
+	mustRMA := func() func(int) detector.Analyzer {
+		shared := detector.NewMustShared(2)
+		return func(owner int) detector.Analyzer { return detector.NewMustRMA(shared, owner) }
+	}
+	for _, line := range []string{
+		`{"kind":"access","owner":0,"rank":7,"lo":8,"hi":15,"type":"rma_write","time":2}`,
+		`{"kind":"access","owner":0,"rank":-1,"lo":8,"hi":15,"type":"rma_write","time":2}`,
+		`{"kind":"access","owner":2,"rank":0,"lo":8,"hi":15,"type":"local_read","time":2}`,
+		`{"kind":"release","owner":0,"rank":5}`,
+		`{"kind":"complete","owner":-3,"rank":0,"lo":0,"hi":7}`,
+		`{"kind":"epoch_end","owner":9}`,
+	} {
+		for name, factory := range map[string]func(int) detector.Analyzer{"must-rma": mustRMA(), "contribution": newCore} {
+			r, err := NewReader(strings.NewReader(head + line + "\n"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = ReplayStream(r, factory, ReplayOpts{Batch: 4})
+			if err == nil || !strings.Contains(err.Error(), "line 3 (offset ") || !strings.Contains(err.Error(), "outside the trace's 2 ranks") {
+				t.Errorf("%s: %s: error %v, want an out-of-range error at line 3", name, line, err)
+			}
+		}
+	}
+}
+
+func TestReplayRejectsInvertedCompletion(t *testing.T) {
+	raw := `{"kind":"header","ranks":2,"window":"w"}
+{"kind":"complete","owner":0,"rank":0,"lo":9,"hi":4}
+`
+	r, err := NewReader(strings.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(r, newCore); err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "inverted interval") {
+		t.Fatalf("error %v, want an inverted-interval error at line 2", err)
 	}
 }
 

@@ -4,12 +4,13 @@
 // replay them under every detector, which is also how the deterministic
 // detector benchmarks are fed.
 //
-// Two wire formats carry the same records. The original format is JSON
-// Lines: one Event per line, self-describing and diff-friendly, with a
-// Header line (kind "header") opening the stream. Package
-// internal/tracebin adds a length-prefixed varint binary format for
-// multi-million-event traces; both implement the Source interface, and
-// Replay consumes either as a bounded-memory stream.
+// Two wire formats carry the same typed Record. The original format is
+// JSON Lines: one record per line, self-describing and diff-friendly,
+// with a Header line (kind "header") opening the stream; access types
+// have names only there. Package internal/tracebin adds a
+// length-prefixed varint binary format for multi-million-event traces;
+// both implement the Source interface, and Replay consumes either as a
+// bounded-memory stream.
 package trace
 
 import (
@@ -35,17 +36,58 @@ type Header struct {
 	Window string `json:"window"`
 }
 
-// Record is one traced event: an access, an epoch boundary, or a
-// release (an exclusive MPI_Win_unlock retiring Rank's accesses at
-// Owner's analyzer).
+// Kind names a record's kind. It is string-kinded so the JSON format
+// carries it verbatim.
+type Kind string
+
+// Record kinds.
+const (
+	KindAccess   Kind = "access"
+	KindEpochEnd Kind = "epoch_end"
+	KindRelease  Kind = "release"
+	// KindComplete retires Rank's request-based accesses to [Lo, Hi] at
+	// Owner's analyzer (an MPI_Wait on their requests).
+	KindComplete Kind = "complete"
+)
+
+// Record is one traced event: an access, an epoch boundary, a release
+// (an exclusive MPI_Win_unlock retiring Rank's accesses at Owner's
+// analyzer) or a request completion. Records are typed: an access type
+// has a name only in JSON (wireRecord), and the binary codec decodes
+// straight into these fields.
 type Record struct {
-	Kind string `json:"kind"` // "access", "epoch_end" or "release"
+	Kind Kind
 	// Owner is the rank whose per-window analyzer processes the record
 	// (the window owner); Rank is the rank that issued the access (for
 	// kind "release", the rank whose accesses are retired).
-	Owner int `json:"owner"`
-	Rank  int `json:"rank"`
-	// Access fields (kind "access").
+	Owner int
+	Rank  int
+	// Access fields (kind "access"; Lo and Hi also for "complete").
+	Lo       uint64
+	Hi       uint64
+	Type     access.Type
+	Epoch    uint64
+	Stack    bool
+	File     string
+	Line     int
+	Time     uint64
+	CallTime uint64
+	Filtered bool
+	AccumOp  uint8
+	// StackID is the access's interned call-stack id in the process-wide
+	// stack depot (package depot), when the traced run captured stacks.
+	// Depot ids are process-local: a replay resolves them only against
+	// the depot of the capturing process, so cross-process replays treat
+	// the id as an opaque site label.
+	StackID uint32
+}
+
+// wireRecord is a Record's JSON Lines shape, the only place an access
+// type is named. Type is set on access records only.
+type wireRecord struct {
+	Kind     Kind   `json:"kind"`
+	Owner    int    `json:"owner"`
+	Rank     int    `json:"rank"`
 	Lo       uint64 `json:"lo,omitempty"`
 	Hi       uint64 `json:"hi,omitempty"`
 	Type     string `json:"type,omitempty"`
@@ -57,16 +99,11 @@ type Record struct {
 	CallTime uint64 `json:"call_time,omitempty"`
 	Filtered bool   `json:"filtered,omitempty"`
 	AccumOp  uint8  `json:"accum_op,omitempty"`
-	// StackID is the access's interned call-stack id in the process-wide
-	// stack depot (package depot), when the traced run captured stacks.
-	// Depot ids are process-local: a replay resolves them only against
-	// the depot of the capturing process, so cross-process replays treat
-	// the id as an opaque site label.
-	StackID uint32 `json:"stack_id,omitempty"`
+	StackID  uint32 `json:"stack_id,omitempty"`
 }
 
-// typeNames maps access types to their wire names.
-var typeNames = map[access.Type]string{
+// typeWireNames are the access types' wire names, indexed by type.
+var typeWireNames = [...]string{
 	access.LocalRead:  "local_read",
 	access.LocalWrite: "local_write",
 	access.RMARead:    "rma_read",
@@ -74,37 +111,22 @@ var typeNames = map[access.Type]string{
 	access.RMAAccum:   "rma_accum",
 }
 
-func typeFromName(s string) (access.Type, error) {
-	for t, n := range typeNames {
-		if n == s {
-			return t, nil
+// parseType resolves an access type's wire name.
+func parseType(name string) (access.Type, error) {
+	for t, n := range typeWireNames {
+		if n == name {
+			return access.Type(t), nil
 		}
 	}
-	return 0, fmt.Errorf("trace: unknown access type %q", s)
+	return 0, fmt.Errorf("unknown access type %q", name)
 }
-
-// TypeName returns the wire name of an access type ("rma_write", ...),
-// or "" for an undefined type. The binary codec (internal/tracebin)
-// maps between the JSON names and its one-byte type field through this
-// pair so both formats stay mutually lossless.
-func TypeName(t access.Type) string { return typeNames[t] }
-
-// TypeFromName resolves a wire name back to its access type.
-func TypeFromName(s string) (access.Type, error) { return typeFromName(s) }
 
 // Sink is the record-writing side shared by both wire formats: the JSON
 // Writer here and the binary tracebin.Writer. Generators (Generate, the
 // fuzzer's reproducer writer, rmarace convert) target the interface so
 // they can emit either format.
 type Sink interface {
-	// Access appends one access event analysed by owner's tree.
-	Access(owner int, ev detector.Event) error
-	// EpochEnd appends an epoch boundary for the given owner.
-	EpochEnd(owner int) error
-	// Release appends a release marker: an exclusive unlock by rank
-	// retiring its accesses at owner's analyzer.
-	Release(owner, rank int) error
-	// Record appends a pre-built record verbatim.
+	// Record appends one record (AccessRecord builds an access's).
 	Record(rec Record) error
 	// Flush flushes buffered output.
 	Flush() error
@@ -127,18 +149,16 @@ func NewWriter(w io.Writer, h Header) (*Writer, error) {
 	return &Writer{w: bw, enc: enc}, nil
 }
 
-// AccessRecord builds the in-memory access record for one event,
-// exactly as Access would serialise it. The differential fuzzer's
-// renderer uses it to produce record streams without an encode/decode
-// round trip.
+// AccessRecord builds the record of one access event analysed by
+// owner's tree.
 func AccessRecord(owner int, ev detector.Event) Record {
 	return Record{
-		Kind:     "access",
+		Kind:     KindAccess,
 		Owner:    owner,
 		Rank:     ev.Acc.Rank,
 		Lo:       ev.Acc.Lo,
 		Hi:       ev.Acc.Hi,
-		Type:     typeNames[ev.Acc.Type],
+		Type:     ev.Acc.Type,
 		Epoch:    ev.Acc.Epoch,
 		Stack:    ev.Acc.Stack,
 		File:     ev.Acc.Debug.File,
@@ -151,24 +171,22 @@ func AccessRecord(owner int, ev detector.Event) Record {
 	}
 }
 
-// Access appends one access event analysed by owner's tree.
-func (t *Writer) Access(owner int, ev detector.Event) error {
-	return t.enc.Encode(AccessRecord(owner, ev))
-}
-
 // Record appends a pre-built record verbatim (the fuzzer's reproducer
 // writer streams rendered records through this).
-func (t *Writer) Record(rec Record) error { return t.enc.Encode(rec) }
-
-// EpochEnd appends an epoch boundary for the given owner.
-func (t *Writer) EpochEnd(owner int) error {
-	return t.enc.Encode(Record{Kind: "epoch_end", Owner: owner})
-}
-
-// Release appends a release marker: an exclusive unlock by rank
-// retiring its accesses at owner's analyzer.
-func (t *Writer) Release(owner, rank int) error {
-	return t.enc.Encode(Record{Kind: "release", Owner: owner, Rank: rank})
+func (t *Writer) Record(rec Record) error {
+	w := wireRecord{
+		Kind: rec.Kind, Owner: rec.Owner, Rank: rec.Rank, Lo: rec.Lo, Hi: rec.Hi,
+		Epoch: rec.Epoch, Stack: rec.Stack, File: rec.File, Line: rec.Line,
+		Time: rec.Time, CallTime: rec.CallTime, Filtered: rec.Filtered,
+		AccumOp: rec.AccumOp, StackID: rec.StackID,
+	}
+	if rec.Kind == KindAccess {
+		if !rec.Type.Valid() {
+			return fmt.Errorf("trace: unknown access type %v", rec.Type)
+		}
+		w.Type = typeWireNames[rec.Type]
+	}
+	return t.enc.Encode(&w)
 }
 
 // Flush flushes buffered output.
@@ -201,9 +219,10 @@ type Source interface {
 type Reader struct {
 	r      *bufio.Reader
 	Header Header
-	line   int   // line number of the last record returned
-	off    int64 // byte offset where the last record started
-	read   int64 // total bytes consumed
+	wire   wireRecord // decode buffer, reused across records
+	line   int        // line number of the last record returned
+	off    int64      // byte offset where the last record started
+	read   int64      // total bytes consumed
 }
 
 // NewReader opens a JSON trace stream and reads its header.
@@ -257,18 +276,22 @@ func (r *Reader) Read(rec *Record) error {
 		}
 		return fmt.Errorf("trace: line %d (offset %d): %w", r.line, r.off, err)
 	}
-	*rec = Record{}
-	if err := json.Unmarshal(raw, rec); err != nil {
+	w := &r.wire
+	*w = wireRecord{}
+	err = json.Unmarshal(raw, w)
+	*rec = Record{
+		Kind: w.Kind, Owner: w.Owner, Rank: w.Rank, Lo: w.Lo, Hi: w.Hi,
+		Epoch: w.Epoch, Stack: w.Stack, File: w.File, Line: w.Line,
+		Time: w.Time, CallTime: w.CallTime, Filtered: w.Filtered,
+		AccumOp: w.AccumOp, StackID: w.StackID,
+	}
+	if err == nil && rec.Kind == KindAccess {
+		rec.Type, err = parseType(w.Type)
+	}
+	if err != nil {
 		return fmt.Errorf("trace: line %d (offset %d): %w", r.line, r.off, err)
 	}
 	return nil
-}
-
-// Next returns the next record, or io.EOF.
-func (r *Reader) Next() (Record, error) {
-	var rec Record
-	err := r.Read(&rec)
-	return rec, err
 }
 
 // Pos implements Source.
@@ -281,31 +304,37 @@ var _ Source = (*Reader)(nil)
 
 // Event converts an access record back to a detector event.
 func (rec Record) Event() (detector.Event, error) {
-	if rec.Kind != "access" {
-		return detector.Event{}, fmt.Errorf("trace: record kind %q is not an access", rec.Kind)
+	var ev detector.Event
+	err := rec.fill(&ev)
+	return ev, err
+}
+
+// fill writes an access record into *ev field by field, so the replay
+// loop builds events in pooled batch slots without a temporary. It
+// leaves ev.Clock, which records do not carry, as it is.
+func (rec *Record) fill(ev *detector.Event) error {
+	if rec.Kind != KindAccess {
+		return fmt.Errorf("trace: record kind %q is not an access", rec.Kind)
 	}
-	t, err := typeFromName(rec.Type)
-	if err != nil {
-		return detector.Event{}, err
+	if !rec.Type.Valid() {
+		return fmt.Errorf("trace: unknown access type %v", rec.Type)
 	}
 	if rec.Hi < rec.Lo {
-		return detector.Event{}, fmt.Errorf("trace: inverted interval [%d, %d]", rec.Lo, rec.Hi)
+		return fmt.Errorf("trace: inverted interval [%d, %d]", rec.Lo, rec.Hi)
 	}
-	return detector.Event{
-		Acc: access.Access{
-			Interval: interval.New(rec.Lo, rec.Hi),
-			Type:     t,
-			Rank:     rec.Rank,
-			Epoch:    rec.Epoch,
-			Stack:    rec.Stack,
-			StackID:  depot.ID(rec.StackID),
-			AccumOp:  access.AccumOp(rec.AccumOp),
-			Debug:    access.Debug{File: rec.File, Line: rec.Line},
-		},
-		Time:     rec.Time,
-		CallTime: rec.CallTime,
-		Filtered: rec.Filtered,
-	}, nil
+	a := &ev.Acc
+	a.Interval = interval.Interval{Lo: rec.Lo, Hi: rec.Hi}
+	a.Rank = rec.Rank
+	a.Epoch = rec.Epoch
+	a.StackID = depot.ID(rec.StackID)
+	a.Type = rec.Type
+	a.Stack = rec.Stack
+	a.AccumOp = access.AccumOp(rec.AccumOp)
+	a.Debug = access.Debug{File: rec.File, Line: rec.Line}
+	ev.Time = rec.Time
+	ev.CallTime = rec.CallTime
+	ev.Filtered = rec.Filtered
+	return nil
 }
 
 // replaySpanKind maps a replayed access type to its span kind.

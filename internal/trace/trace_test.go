@@ -34,10 +34,10 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := sampleEvent(2, 12, access.RMARead, 1)
-	if err := w.Access(2, ev); err != nil {
+	if err := w.Record(AccessRecord(2, ev)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.EpochEnd(1); err != nil {
+	if err := w.Record(Record{Kind: KindEpochEnd, Owner: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -51,8 +51,8 @@ func TestRoundTrip(t *testing.T) {
 	if r.Header.Ranks != 4 || r.Header.Window != "X" {
 		t.Fatalf("header = %+v", r.Header)
 	}
-	rec, err := r.Next()
-	if err != nil {
+	var rec Record
+	if err := r.Read(&rec); err != nil {
 		t.Fatal(err)
 	}
 	got, err := rec.Event()
@@ -68,11 +68,11 @@ func TestRoundTrip(t *testing.T) {
 	if got.Acc != ev.Acc || got.Time != ev.Time || got.CallTime != ev.CallTime || got.Filtered != ev.Filtered {
 		t.Fatalf("round trip: got %+v, want %+v", got, ev)
 	}
-	rec, err = r.Next()
+	err = r.Read(&rec)
 	if err != nil || rec.Kind != "epoch_end" || rec.Owner != 1 {
 		t.Fatalf("epoch record = %+v, err %v", rec, err)
 	}
-	if _, err := r.Next(); err != io.EOF {
+	if err := r.Read(&rec); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
 	}
 }
@@ -87,10 +87,10 @@ func TestEventValidation(t *testing.T) {
 	if _, err := (Record{Kind: "epoch_end"}).Event(); err == nil {
 		t.Fatal("non-access record converted")
 	}
-	if _, err := (Record{Kind: "access", Type: "bogus", Hi: 1}).Event(); err == nil {
+	if _, err := (Record{Kind: "access", Type: access.Type(9), Hi: 1}).Event(); err == nil {
 		t.Fatal("bogus type accepted")
 	}
-	if _, err := (Record{Kind: "access", Type: "rma_read", Lo: 5, Hi: 2}).Event(); err == nil {
+	if _, err := (Record{Kind: "access", Type: access.RMARead, Lo: 5, Hi: 2}).Event(); err == nil {
 		t.Fatal("inverted interval accepted")
 	}
 }
@@ -161,9 +161,9 @@ func TestReplayStopsAtRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = w.Access(0, sampleEvent(0, 7, access.RMAWrite, 0))
-	_ = w.Access(0, sampleEvent(0, 7, access.RMAWrite, 1))
-	_ = w.Access(0, sampleEvent(100, 107, access.RMAWrite, 0)) // never reached
+	_ = w.Record(AccessRecord(0, sampleEvent(0, 7, access.RMAWrite, 0)))
+	_ = w.Record(AccessRecord(0, sampleEvent(0, 7, access.RMAWrite, 1)))
+	_ = w.Record(AccessRecord(0, sampleEvent(100, 107, access.RMAWrite, 0))) // never reached
 	_ = w.Flush()
 
 	r, err := NewReader(&buf)
@@ -188,8 +188,8 @@ func TestReplayPerRankAnalyzers(t *testing.T) {
 	// interact.
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf, Header{Ranks: 2, Window: "X"})
-	_ = w.Access(0, sampleEvent(0, 7, access.LocalWrite, 0))
-	_ = w.Access(1, sampleEvent(0, 7, access.LocalWrite, 1))
+	_ = w.Record(AccessRecord(0, sampleEvent(0, 7, access.LocalWrite, 0)))
+	_ = w.Record(AccessRecord(1, sampleEvent(0, 7, access.LocalWrite, 1)))
 	_ = w.Flush()
 	r, err := NewReader(&buf)
 	if err != nil {
@@ -205,5 +205,76 @@ func TestReplayPerRankAnalyzers(t *testing.T) {
 	}
 	if count != 2 {
 		t.Fatalf("expected 2 analyzers, got %d", count)
+	}
+}
+
+// TestJSONWireFormat pins the JSON Lines encoding byte for byte: typed
+// records render with the names, key order and omissions the format
+// always had, and decode back to the same records.
+func TestJSONWireFormat(t *testing.T) {
+	const want = `{"kind":"header","ranks":4,"window":"halo"}
+{"kind":"access","owner":2,"rank":1,"lo":16,"hi":23,"type":"rma_accum","epoch":3,"stack":true,"file":"halo.c","line":42,"time":9,"call_time":8,"filtered":true,"accum_op":2,"stack_id":5}
+{"kind":"access","owner":0,"rank":0,"type":"local_read"}
+{"kind":"complete","owner":1,"rank":1,"lo":4,"hi":9}
+{"kind":"epoch_end","owner":3,"rank":0}
+{"kind":"release","owner":0,"rank":2}
+`
+	recs := []Record{
+		{Kind: KindAccess, Owner: 2, Rank: 1, Lo: 16, Hi: 23, Type: access.RMAAccum, Epoch: 3, Stack: true,
+			File: "halo.c", Line: 42, Time: 9, CallTime: 8, Filtered: true, AccumOp: 2, StackID: 5},
+		{Kind: KindAccess, Type: access.LocalRead},
+		{Kind: KindComplete, Owner: 1, Rank: 1, Lo: 4, Hi: 9},
+		{Kind: KindEpochEnd, Owner: 3},
+		{Kind: KindRelease, Owner: 0, Rank: 2},
+	}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, Header{Ranks: 4, Window: "halo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := w.Record(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Flush()
+	if buf.String() != want {
+		t.Fatalf("JSON encoding drifted:\n got %s\nwant %s", buf.String(), want)
+	}
+	r, err := NewReader(strings.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range recs {
+		var got Record
+		if err := r.Read(&got); err != nil || got != rec {
+			t.Fatalf("record %d = %+v (err %v), want %+v", i, got, err, rec)
+		}
+	}
+	if err := w.Record(Record{Kind: KindAccess, Type: access.Type(9)}); err == nil {
+		t.Fatal("writer encoded an undefined access type")
+	}
+}
+
+func TestBadAccessTypeCarriesLine(t *testing.T) {
+	for _, tc := range []struct{ line, want string }{
+		{`{"kind":"access","owner":0,"rank":0,"lo":0,"hi":7,"type":"rma_wrote"}`, `unknown access type "rma_wrote"`},
+		{`{"kind":"access","owner":0,"rank":0,"lo":0,"hi":7}`, `unknown access type ""`},
+	} {
+		raw := `{"kind":"header","ranks":2,"window":"w"}
+{"kind":"epoch_end","owner":0}
+` + tc.line + "\n"
+		r, err := NewReader(strings.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec Record
+		if err := r.Read(&rec); err != nil {
+			t.Fatal(err)
+		}
+		err = r.Read(&rec)
+		if err == nil || !strings.Contains(err.Error(), "line 3 (offset ") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want line 3 and %q", tc.line, err, tc.want)
+		}
 	}
 }

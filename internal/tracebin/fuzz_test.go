@@ -2,9 +2,13 @@ package tracebin
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"slices"
 	"testing"
+	"testing/iotest"
 
+	"rmarace/internal/access"
 	"rmarace/internal/trace"
 )
 
@@ -12,7 +16,9 @@ import (
 // input, the reader must return a descriptive error or a clean EOF —
 // never panic, never loop, never allocate past the payload cap. Valid
 // prefixes decode; the corpus seeds a well-formed stream so mutations
-// explore the record space, not just the header.
+// explore the record space, not just the header. The same bytes fed
+// one at a time take the byte-wise path instead of the in-buffer one,
+// and must decode to the same records and the same error.
 func FuzzReader(f *testing.F) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, trace.Header{Ranks: 4, Window: "w"})
@@ -30,25 +36,36 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		r, err := NewReader(bytes.NewReader(raw))
-		if err != nil {
-			return
+		recs, err := decodeAll(bytes.NewReader(raw))
+		if err != nil && err.Error() == "" {
+			t.Fatal("empty error message")
 		}
-		var rec trace.Record
-		for i := 0; i < 1<<16; i++ {
-			err := r.Read(&rec)
-			if err == io.EOF {
-				// A cleanly decoded stream must re-encode losslessly.
-				return
-			}
-			if err != nil {
-				if err.Error() == "" {
-					t.Fatal("empty error message")
-				}
-				return
-			}
+		slow, slowErr := decodeAll(iotest.OneByteReader(bytes.NewReader(raw)))
+		if fmt.Sprint(err) != fmt.Sprint(slowErr) || !slices.Equal(recs, slow) {
+			t.Fatalf("in-buffer decode: %d records, err %v; byte-wise: %d records, err %v", len(recs), err, len(slow), slowErr)
 		}
 	})
+}
+
+// decodeAll decodes a stream to its end: the records, and nil or the
+// first error.
+func decodeAll(r io.Reader) ([]trace.Record, error) {
+	tr, err := NewReader(r)
+	if err != nil {
+		return nil, err
+	}
+	var recs []trace.Record
+	for i := 0; i < 1<<16; i++ {
+		var rec trace.Record
+		if err := tr.Read(&rec); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return recs, err
+		}
+		recs = append(recs, rec)
+	}
+	return recs, nil
 }
 
 // FuzzRoundTrip mutates record fields and asserts binary encode→decode
@@ -64,7 +81,7 @@ func FuzzRoundTrip(f *testing.F) {
 			}
 			rec = trace.Record{
 				Kind: "access", Owner: owner, Rank: rank,
-				Lo: lo, Hi: lo + span, Type: accessTypeNames[1+int(accumOp)%5],
+				Lo: lo, Hi: lo + span, Type: access.Type(accumOp % 5),
 				Epoch: epoch, Time: tm, CallTime: callTm,
 				Stack: stack, Filtered: filtered, StackID: stackID,
 				File: file, Line: line, AccumOp: accumOp,
@@ -107,7 +124,7 @@ func FuzzRoundTrip(f *testing.F) {
 // cannot call testing.T helpers at seed time).
 func sampleRecordsF() []trace.Record {
 	return []trace.Record{
-		{Kind: "access", Owner: 0, Rank: 1, Lo: 100, Hi: 107, Type: "rma_write", Epoch: 1, Time: 5, CallTime: 3, File: "halo.c", Line: 42},
+		{Kind: "access", Owner: 0, Rank: 1, Lo: 100, Hi: 107, Type: access.RMAWrite, Epoch: 1, Time: 5, CallTime: 3, File: "halo.c", Line: 42},
 		{Kind: "release", Owner: 0, Rank: 2},
 		{Kind: "epoch_end", Owner: 0},
 	}

@@ -30,13 +30,12 @@
 // interval's upper bound is delta-encoded against the lower, so the
 // short per-element accesses that dominate real traces stay one byte.
 //
-// The Reader is a zero-allocation streaming decoder over a bufio.Reader:
-// one reusable payload buffer, the interned file-name table, and
-// constant strings for kinds and access types — steady-state Read calls
-// allocate nothing. Both Reader and Writer implement the trace.Source /
-// trace.Sink interfaces, so replay, generation and conversion code is
-// format-agnostic; Open sniffs the magic and returns the right Source
-// for either format.
+// The type byte is the access.Type plus one (0 is reserved). The Reader
+// decodes a buffered record in place from the bufio buffer straight
+// into a typed trace.Record, allocating nothing at steady state. Both
+// Reader and Writer implement trace.Source / trace.Sink, so replay,
+// generation and conversion code is format-agnostic; Open sniffs the
+// magic and returns the right Source for either format.
 package tracebin
 
 import (
@@ -46,7 +45,7 @@ import (
 	"fmt"
 	"io"
 
-	"rmarace/internal/detector"
+	"rmarace/internal/access"
 	"rmarace/internal/trace"
 )
 
@@ -69,26 +68,6 @@ const (
 // cannot force a huge allocation; real records are tens of bytes, and
 // the largest legitimate payload is a fileDef carrying a path.
 const maxPayload = 1 << 20
-
-// accessTypeCodes maps the JSON wire names to their one-byte codes and
-// back. Code 0 is reserved (no type) so a zeroed payload never decodes
-// to a valid access.
-var accessTypeNames = [...]string{
-	1: "local_read",
-	2: "local_write",
-	3: "rma_read",
-	4: "rma_write",
-	5: "rma_accum",
-}
-
-func accessTypeCode(name string) (byte, bool) {
-	for c := 1; c < len(accessTypeNames); c++ {
-		if accessTypeNames[c] == name {
-			return byte(c), true
-		}
-	}
-	return 0, false
-}
 
 // Access flag bits.
 const (
@@ -156,10 +135,9 @@ func (t *Writer) fileID(name string) (uint64, error) {
 // Record implements trace.Sink: it appends a pre-built record.
 func (t *Writer) Record(rec trace.Record) error {
 	switch rec.Kind {
-	case "access":
-		code, ok := accessTypeCode(rec.Type)
-		if !ok {
-			return fmt.Errorf("tracebin: unknown access type %q", rec.Type)
+	case trace.KindAccess:
+		if !rec.Type.Valid() {
+			return fmt.Errorf("tracebin: unknown access type %v", rec.Type)
 		}
 		if rec.Hi < rec.Lo {
 			return fmt.Errorf("tracebin: inverted interval [%d, %d]", rec.Lo, rec.Hi)
@@ -180,7 +158,7 @@ func (t *Writer) Record(rec trace.Record) error {
 		p = binary.AppendUvarint(p, uint64(rec.Rank))
 		p = binary.AppendUvarint(p, rec.Lo)
 		p = binary.AppendUvarint(p, rec.Hi-rec.Lo)
-		p = append(p, code)
+		p = append(p, byte(rec.Type)+1) // code 0 stays reserved
 		p = binary.AppendUvarint(p, rec.Epoch)
 		p = binary.AppendUvarint(p, rec.Time)
 		p = binary.AppendUvarint(p, rec.CallTime)
@@ -190,18 +168,18 @@ func (t *Writer) Record(rec trace.Record) error {
 		p = binary.AppendUvarint(p, uint64(rec.Line))
 		t.scratch = p[:0]
 		return t.writeRecord(p)
-	case "epoch_end":
+	case trace.KindEpochEnd:
 		p := append(t.scratch[:0], kindEpochEnd)
 		p = binary.AppendUvarint(p, uint64(rec.Owner))
 		t.scratch = p[:0]
 		return t.writeRecord(p)
-	case "release":
+	case trace.KindRelease:
 		p := append(t.scratch[:0], kindRelease)
 		p = binary.AppendUvarint(p, uint64(rec.Owner))
 		p = binary.AppendUvarint(p, uint64(rec.Rank))
 		t.scratch = p[:0]
 		return t.writeRecord(p)
-	case "complete":
+	case trace.KindComplete:
 		if rec.Hi < rec.Lo {
 			return fmt.Errorf("tracebin: inverted interval [%d, %d]", rec.Lo, rec.Hi)
 		}
@@ -216,21 +194,6 @@ func (t *Writer) Record(rec trace.Record) error {
 	return fmt.Errorf("tracebin: unknown record kind %q", rec.Kind)
 }
 
-// Access implements trace.Sink.
-func (t *Writer) Access(owner int, ev detector.Event) error {
-	return t.Record(trace.AccessRecord(owner, ev))
-}
-
-// EpochEnd implements trace.Sink.
-func (t *Writer) EpochEnd(owner int) error {
-	return t.Record(trace.Record{Kind: "epoch_end", Owner: owner})
-}
-
-// Release implements trace.Sink.
-func (t *Writer) Release(owner, rank int) error {
-	return t.Record(trace.Record{Kind: "release", Owner: owner, Rank: rank})
-}
-
 // Flush implements trace.Sink.
 func (t *Writer) Flush() error { return t.w.Flush() }
 
@@ -242,7 +205,7 @@ type Reader struct {
 	r     *bufio.Reader
 	hdr   trace.Header
 	files []string // id-1 indexed intern table
-	buf   []byte   // reusable payload buffer
+	buf   []byte   // payload buffer for records not wholly buffered
 	recN  int      // 1-based index of the last record returned
 	off   int64    // byte offset where the last record started
 	read  int64    // total bytes consumed
@@ -300,27 +263,19 @@ func eofIsUnexpected(err error) error {
 	return err
 }
 
-// readUvarint reads one LEB128 varint off the stream, tracking consumed
-// bytes and rejecting encodings longer than 64 bits.
+// readUvarint consumes one LEB128 varint from the stream.
 func (t *Reader) readUvarint() (uint64, error) {
-	var x uint64
-	var s uint
-	for i := 0; i < binary.MaxVarintLen64; i++ {
-		b, err := t.r.ReadByte()
-		if err != nil {
-			return 0, eofIsUnexpected(err)
-		}
-		t.read++
-		if b < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				return 0, fmt.Errorf("varint overflows 64 bits")
-			}
-			return x | uint64(b)<<s, nil
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
+	b, err := t.r.Peek(binary.MaxVarintLen64) // shorter, with err, near the end
+	x, n := binary.Uvarint(b)
+	if n == 0 && err != nil {
+		return 0, eofIsUnexpected(err)
 	}
-	return 0, fmt.Errorf("varint overflows 64 bits")
+	if n <= 0 {
+		return 0, fmt.Errorf("varint overflows 64 bits")
+	}
+	t.r.Discard(n)
+	t.read += int64(n)
+	return x, nil
 }
 
 // Head implements trace.Source.
@@ -346,207 +301,206 @@ func (t *Reader) Read(rec *trace.Record) error {
 	for {
 		t.off = t.read
 		t.recN++
-		// A clean EOF is only legal before the length prefix's first byte.
-		if _, err := t.r.Peek(1); err != nil {
-			if err == io.EOF {
-				t.recN--
-				return io.EOF
-			}
+		p, err := t.next()
+		if err == io.EOF {
+			t.recN--
+			return io.EOF
+		}
+		if err != nil {
 			return t.errAt(err)
 		}
-		plen, err := t.readUvarint()
-		if err != nil {
-			return t.errAt(fmt.Errorf("record length: %w", err))
-		}
-		if plen > maxPayload {
-			return t.errAt(fmt.Errorf("record length %d exceeds limit %d", plen, maxPayload))
-		}
-		if plen == 0 {
-			return t.errAt(fmt.Errorf("empty record"))
-		}
-		if uint64(cap(t.buf)) < plen {
-			t.buf = make([]byte, plen)
-		}
-		p := t.buf[:plen]
-		if _, err := io.ReadFull(t.r, p); err != nil {
-			return t.errAt(fmt.Errorf("record payload: %w", eofIsUnexpected(err)))
-		}
-		t.read += int64(plen)
-		kind := p[0]
-		if kind == kindFileDef {
+		if p[0] == kindFileDef {
 			if err := t.internFile(p[1:]); err != nil {
 				return t.errAt(err)
 			}
 			continue
 		}
-		if err := t.decode(kind, p[1:], rec); err != nil {
+		if err := t.decode(p, rec); err != nil {
 			return t.errAt(err)
 		}
 		return nil
 	}
 }
 
-// internFile decodes a fileDef payload into the string table.
-func (t *Reader) internFile(p []byte) error {
-	d := payload(p)
-	id, err := d.uvarint("file id")
-	if err != nil {
-		return err
+// next consumes one record and returns its non-empty payload, which is
+// valid until the next read. A record already in the bufio buffer is
+// decoded in place, without a copy; one that straddles the buffer's
+// end is read byte-wise into t.buf. A bare io.EOF means the stream
+// ended cleanly, before the record's first byte.
+func (t *Reader) next() ([]byte, error) {
+	b, _ := t.r.Peek(t.r.Buffered())
+	d := payload{b: b}
+	if plen := d.uvarint("record length"); d.field == "" && plen > 0 && plen <= maxPayload && plen <= uint64(len(d.b)) {
+		start := len(b) - len(d.b)
+		end := start + int(plen)
+		t.r.Discard(end)
+		t.read += int64(end)
+		return b[start:end], nil
 	}
-	if id != uint64(len(t.files)+1) {
+	if _, err := t.r.Peek(1); err != nil {
+		return nil, err
+	}
+	plen, err := t.readUvarint()
+	if err != nil {
+		return nil, fmt.Errorf("record length: %w", err)
+	}
+	if plen > maxPayload {
+		return nil, fmt.Errorf("record length %d exceeds limit %d", plen, maxPayload)
+	}
+	if plen == 0 {
+		return nil, fmt.Errorf("empty record")
+	}
+	if uint64(cap(t.buf)) < plen {
+		t.buf = make([]byte, plen)
+	}
+	p := t.buf[:plen]
+	if _, err := io.ReadFull(t.r, p); err != nil {
+		return nil, fmt.Errorf("record payload: %w", eofIsUnexpected(err))
+	}
+	t.read += int64(plen)
+	return p, nil
+}
+
+// internFile decodes a fileDef payload body into the string table.
+func (t *Reader) internFile(body []byte) error {
+	d := payload{b: body}
+	id := d.uvarint("file id")
+	if d.field == "" && id != uint64(len(t.files)+1) {
 		return fmt.Errorf("file id %d out of sequence (want %d)", id, len(t.files)+1)
 	}
-	nlen, err := d.uvarint("file name length")
-	if err != nil {
-		return err
+	nlen := d.uvarint("file name length")
+	if d.field != "" {
+		return d.err(body)
 	}
-	if uint64(len(d)) != nlen {
-		return fmt.Errorf("file name length %d does not match payload (%d bytes left)", nlen, len(d))
+	if uint64(len(d.b)) != nlen {
+		return fmt.Errorf("file name length %d does not match payload (%d bytes left)", nlen, len(d.b))
 	}
-	t.files = append(t.files, string(d))
+	t.files = append(t.files, string(d.b))
 	return nil
 }
 
-// decode fills rec from one record payload body.
-func (t *Reader) decode(kind byte, p []byte, rec *trace.Record) error {
+// decode fills rec from one record payload (kind byte first). Values
+// are checked in field order, and a failed read zeroes every later
+// one, so the first fault is the one reported.
+func (t *Reader) decode(p []byte, rec *trace.Record) error {
 	*rec = trace.Record{}
-	d := payload(p)
-	switch kind {
+	d := payload{b: p[1:]}
+	switch p[0] {
 	case kindAccess:
-		if len(d) < 1 {
-			return fmt.Errorf("access record truncated before flags")
-		}
-		flags := d[0]
-		d = d[1:]
-		rec.Kind = "access"
+		flags := d.byte("flags")
+		rec.Kind = trace.KindAccess
 		rec.Stack = flags&flagStack != 0
 		rec.Filtered = flags&flagFiltered != 0
-		owner, err := d.uvarint("owner")
-		if err != nil {
-			return err
-		}
-		rank, err := d.uvarint("rank")
-		if err != nil {
-			return err
-		}
-		rec.Owner, rec.Rank = int(owner), int(rank)
-		if rec.Lo, err = d.uvarint("lo"); err != nil {
-			return err
-		}
-		span, err := d.uvarint("interval span")
-		if err != nil {
-			return err
-		}
-		rec.Hi = rec.Lo + span
+		rec.Owner = int(d.uvarint("owner"))
+		rec.Rank = int(d.uvarint("rank"))
+		rec.Lo = d.uvarint("lo")
+		rec.Hi = rec.Lo + d.uvarint("interval span")
 		if rec.Hi < rec.Lo {
-			return fmt.Errorf("interval span %d overflows from lo %d", span, rec.Lo)
+			return fmt.Errorf("interval span %d overflows from lo %d", rec.Hi-rec.Lo, rec.Lo)
 		}
-		if len(d) < 1 {
-			return fmt.Errorf("access record truncated before type")
-		}
-		code := d[0]
-		d = d[1:]
-		if int(code) >= len(accessTypeNames) || code == 0 {
+		if code := d.byte("type"); code > 0 && access.Type(code-1).Valid() {
+			rec.Type = access.Type(code - 1)
+		} else if d.field == "" {
 			return fmt.Errorf("unknown access type code %d", code)
 		}
-		rec.Type = accessTypeNames[code]
-		if rec.Epoch, err = d.uvarint("epoch"); err != nil {
-			return err
-		}
-		if rec.Time, err = d.uvarint("time"); err != nil {
-			return err
-		}
-		if rec.CallTime, err = d.uvarint("call time"); err != nil {
-			return err
-		}
-		if len(d) < 1 {
-			return fmt.Errorf("access record truncated before accum op")
-		}
-		rec.AccumOp = d[0]
-		d = d[1:]
-		sid, err := d.uvarint("stack id")
-		if err != nil {
-			return err
-		}
-		rec.StackID = uint32(sid)
-		fid, err := d.uvarint("file id")
-		if err != nil {
-			return err
-		}
+		rec.Epoch = d.uvarint("epoch")
+		rec.Time = d.uvarint("time")
+		rec.CallTime = d.uvarint("call time")
+		rec.AccumOp = d.byte("accum op")
+		rec.StackID = uint32(d.uvarint("stack id"))
+		fid := d.uvarint("file id")
 		if fid > uint64(len(t.files)) {
 			return fmt.Errorf("file id %d cites an undefined file (table has %d)", fid, len(t.files))
 		}
 		if fid > 0 {
 			rec.File = t.files[fid-1]
 		}
-		line, err := d.uvarint("line")
-		if err != nil {
-			return err
-		}
-		rec.Line = int(line)
+		rec.Line = int(d.uvarint("line"))
 	case kindEpochEnd:
-		rec.Kind = "epoch_end"
-		owner, err := d.uvarint("owner")
-		if err != nil {
-			return err
-		}
-		rec.Owner = int(owner)
+		rec.Kind = trace.KindEpochEnd
+		rec.Owner = int(d.uvarint("owner"))
 	case kindRelease:
-		rec.Kind = "release"
-		owner, err := d.uvarint("owner")
-		if err != nil {
-			return err
-		}
-		rank, err := d.uvarint("rank")
-		if err != nil {
-			return err
-		}
-		rec.Owner, rec.Rank = int(owner), int(rank)
+		rec.Kind = trace.KindRelease
+		rec.Owner = int(d.uvarint("owner"))
+		rec.Rank = int(d.uvarint("rank"))
 	case kindComplete:
-		rec.Kind = "complete"
-		owner, err := d.uvarint("owner")
-		if err != nil {
-			return err
-		}
-		rank, err := d.uvarint("rank")
-		if err != nil {
-			return err
-		}
-		rec.Owner, rec.Rank = int(owner), int(rank)
-		if rec.Lo, err = d.uvarint("lo"); err != nil {
-			return err
-		}
-		span, err := d.uvarint("interval span")
-		if err != nil {
-			return err
-		}
-		rec.Hi = rec.Lo + span
+		rec.Kind = trace.KindComplete
+		rec.Owner = int(d.uvarint("owner"))
+		rec.Rank = int(d.uvarint("rank"))
+		rec.Lo = d.uvarint("lo")
+		rec.Hi = rec.Lo + d.uvarint("interval span")
 		if rec.Hi < rec.Lo {
-			return fmt.Errorf("interval span %d overflows from lo %d", span, rec.Lo)
+			return fmt.Errorf("interval span %d overflows from lo %d", rec.Hi-rec.Lo, rec.Lo)
 		}
 	default:
-		return fmt.Errorf("unknown record kind %d", kind)
+		return fmt.Errorf("unknown record kind %d", p[0])
 	}
-	if len(d) > 0 {
-		return fmt.Errorf("%d trailing bytes after record body", len(d))
+	if d.field != "" {
+		return d.err(p[1:])
+	}
+	if len(d.b) > 0 {
+		return fmt.Errorf("%d trailing bytes after record body", len(d.b))
 	}
 	return nil
 }
 
-// payload is a cursor over one record's body; its uvarint method
-// consumes from the front with field-named errors.
-type payload []byte
+// payload is a cursor over one record's body whose reads inline into
+// the decoder, so a one-byte varint costs a compare. The first read
+// that fails is kept (field, left); every read after it returns zero,
+// and the decoder reports it once at the end.
+type payload struct {
+	b     []byte
+	field string // the first field that failed to read, "" if none
+	left  int    // bytes left when it failed; -1 for a one-byte field
+}
 
-func (d *payload) uvarint(field string) (uint64, error) {
-	x, n := binary.Uvarint(*d)
-	if n <= 0 {
-		if n == 0 {
-			return 0, fmt.Errorf("%s: record truncated mid-varint", field)
+// uvarint reads one LEB128 varint. A one-byte varint returns from the
+// first iteration.
+func (d *payload) uvarint(field string) (x uint64) {
+	for i, c := range d.b {
+		x |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 && (i < binary.MaxVarintLen64-1 || c < 2) {
+			d.b = d.b[i+1:]
+			return x
 		}
-		return 0, fmt.Errorf("%s: varint overflows 64 bits", field)
+		if i == binary.MaxVarintLen64-1 {
+			break
+		}
 	}
-	*d = (*d)[n:]
-	return x, nil
+	d.fail(field, len(d.b))
+	return 0
+}
+
+// byte reads one raw byte.
+func (d *payload) byte(field string) byte {
+	if len(d.b) > 0 {
+		c := d.b[0]
+		d.b = d.b[1:]
+		return c
+	}
+	d.fail(field, -1)
+	return 0
+}
+
+// fail records a failed read unless an earlier one is kept, and stops
+// further reads.
+func (d *payload) fail(field string, left int) {
+	if d.field == "" {
+		d.field, d.left = field, left
+	}
+	d.b = nil
+}
+
+// err describes the failure of a read from body, classifying a varint
+// by binary.Uvarint's rules.
+func (d *payload) err(body []byte) error {
+	if d.left < 0 {
+		return fmt.Errorf("access record truncated before %s", d.field)
+	}
+	if _, n := binary.Uvarint(body[len(body)-d.left:]); n < 0 {
+		return fmt.Errorf("%s: varint overflows 64 bits", d.field)
+	}
+	return fmt.Errorf("%s: record truncated mid-varint", d.field)
 }
 
 var _ trace.Source = (*Reader)(nil)

@@ -1,12 +1,17 @@
 package tracebin
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
+	"rmarace/internal/access"
 	"rmarace/internal/trace"
 )
 
@@ -15,13 +20,13 @@ import (
 // stack ids and large field values.
 func sampleRecords() []trace.Record {
 	return []trace.Record{
-		{Kind: "access", Owner: 0, Rank: 1, Lo: 100, Hi: 107, Type: "rma_write", Epoch: 1, Time: 5, CallTime: 3, File: "halo.c", Line: 42},
-		{Kind: "access", Owner: 0, Rank: 2, Lo: 108, Hi: 108, Type: "rma_read", Epoch: 1, Time: 6, CallTime: 6, File: "halo.c", Line: 51, Stack: true, StackID: 7},
-		{Kind: "access", Owner: 3, Rank: 3, Lo: 1 << 40, Hi: 1<<40 + 4095, Type: "local_write", Epoch: 2, Time: 9, File: "solver.c", Line: 9, Filtered: true},
+		{Kind: "access", Owner: 0, Rank: 1, Lo: 100, Hi: 107, Type: access.RMAWrite, Epoch: 1, Time: 5, CallTime: 3, File: "halo.c", Line: 42},
+		{Kind: "access", Owner: 0, Rank: 2, Lo: 108, Hi: 108, Type: access.RMARead, Epoch: 1, Time: 6, CallTime: 6, File: "halo.c", Line: 51, Stack: true, StackID: 7},
+		{Kind: "access", Owner: 3, Rank: 3, Lo: 1 << 40, Hi: 1<<40 + 4095, Type: access.LocalWrite, Epoch: 2, Time: 9, File: "solver.c", Line: 9, Filtered: true},
 		{Kind: "release", Owner: 0, Rank: 2},
-		{Kind: "access", Owner: 1, Rank: 0, Lo: 0, Hi: ^uint64(0), Type: "rma_accum", Epoch: 3, Time: 11, CallTime: 10, AccumOp: 2},
+		{Kind: "access", Owner: 1, Rank: 0, Lo: 0, Hi: ^uint64(0), Type: access.RMAAccum, Epoch: 3, Time: 11, CallTime: 10, AccumOp: 2},
 		{Kind: "epoch_end", Owner: 0},
-		{Kind: "access", Owner: 0, Rank: 1, Lo: 64, Hi: 71, Type: "local_read", Epoch: 4, Time: 12},
+		{Kind: "access", Owner: 0, Rank: 1, Lo: 64, Hi: 71, Type: access.LocalRead, Epoch: 4, Time: 12},
 		{Kind: "epoch_end", Owner: 1},
 	}
 }
@@ -315,7 +320,7 @@ func TestReaderSteadyStateAllocs(t *testing.T) {
 		recs = append(recs, trace.Record{
 			Kind: "access", Owner: i % 4, Rank: i % 8,
 			Lo: uint64(i * 8), Hi: uint64(i*8 + 7),
-			Type: "rma_write", Epoch: 1, Time: uint64(i + 1), File: "a.c", Line: i,
+			Type: access.RMAWrite, Epoch: 1, Time: uint64(i + 1), File: "a.c", Line: i,
 		})
 		if i%64 == 63 {
 			recs = append(recs, trace.Record{Kind: "epoch_end", Owner: i % 4})
@@ -341,5 +346,173 @@ func TestReaderSteadyStateAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("steady-state Read allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// readerWrappers feed a stream to the decoder in differently sized
+// chunks, so records land whole in the buffer, straddle its refill
+// boundary, or arrive a byte at a time.
+var readerWrappers = []struct {
+	name string
+	wrap func(io.Reader) io.Reader
+}{
+	{"whole", func(r io.Reader) io.Reader { return r }},
+	{"one-byte", iotest.OneByteReader},
+	{"half", iotest.HalfReader},
+	{"bufio-16", func(r io.Reader) io.Reader { return bufio.NewReaderSize(r, 16) }},
+}
+
+// checkDecodes decodes raw through every reader wrapper and compares
+// the records and the byte count with the originals.
+func checkDecodes(t *testing.T, raw []byte, recs []trace.Record) {
+	t.Helper()
+	for _, w := range readerWrappers {
+		r, err := NewReader(w.wrap(bytes.NewReader(raw)))
+		if err != nil {
+			t.Fatalf("%s: NewReader: %v", w.name, err)
+		}
+		got := drain(t, r)
+		if len(got) != len(recs) {
+			t.Fatalf("%s: decoded %d records, want %d", w.name, len(got), len(recs))
+		}
+		for i := range recs {
+			if got[i] != recs[i] {
+				t.Fatalf("%s: record %d = %+v, want %+v", w.name, i, got[i], recs[i])
+			}
+		}
+		if r.BytesRead() != int64(len(raw)) {
+			t.Errorf("%s: BytesRead = %d, want %d", w.name, r.BytesRead(), len(raw))
+		}
+	}
+}
+
+func TestRecordsStraddleBufferBoundary(t *testing.T) {
+	// Over three 64 KiB buffers of records whose lengths vary, so many
+	// of them straddle a refill boundary.
+	var recs []trace.Record
+	for i := 0; len(recs) < 12000; i++ {
+		recs = append(recs, trace.Record{
+			Kind: trace.KindAccess, Owner: i % 3, Rank: i % 300,
+			Lo: uint64(i) << (i % 40), Hi: uint64(i)<<(i%40) + uint64(i%9),
+			Type: access.Type(i % 5), Epoch: uint64(i / 100), Time: uint64(i),
+			File: fmt.Sprintf("f%d.c", i%37), Line: i % 1000, StackID: uint32(i % 3),
+		})
+		if i%50 == 49 {
+			recs = append(recs, trace.Record{Kind: trace.KindEpochEnd, Owner: i % 3})
+		}
+	}
+	raw := encode(t, trace.Header{Ranks: 300, Window: "w"}, recs)
+	if len(raw) < 3<<16 {
+		t.Fatalf("trace is %d bytes, want several 64 KiB buffers", len(raw))
+	}
+	checkDecodes(t, raw, recs)
+}
+
+func TestFileDefLongerThanBuffer(t *testing.T) {
+	long := strings.Repeat("dir/", 20<<10) + "x.c" // 80 KiB, over the 64 KiB buffer
+	recs := []trace.Record{
+		{Kind: trace.KindAccess, Owner: 0, Rank: 1, Lo: 8, Hi: 15, Type: access.RMAWrite, File: long, Line: 3},
+		{Kind: trace.KindAccess, Owner: 0, Rank: 1, Lo: 16, Hi: 23, Type: access.RMARead, File: "short.c", Line: 4},
+		{Kind: trace.KindAccess, Owner: 1, Rank: 0, Lo: 8, Hi: 8, Type: access.LocalRead, File: long, Line: 5},
+	}
+	checkDecodes(t, encode(t, trace.Header{Ranks: 2, Window: "w"}, recs), recs)
+}
+
+func TestTruncationAtEveryOffset(t *testing.T) {
+	h := trace.Header{Ranks: 4, Window: "win"}
+	raw := encode(t, h, sampleRecords())
+	hdrLen := 4 + 1 + 1 + 1 + len(h.Window)
+	// A cut exactly between records (fileDefs included) is a shorter
+	// valid stream; any other cut is a truncation.
+	boundary := map[int]bool{hdrLen: true}
+	for off := hdrLen; off < len(raw); {
+		plen, n := binary.Uvarint(raw[off:])
+		off += n + int(plen)
+		boundary[off] = true
+	}
+	for _, w := range readerWrappers[:2] {
+		for cut := 0; cut < len(raw); cut++ {
+			r, err := NewReader(w.wrap(bytes.NewReader(raw[:cut])))
+			if cut < hdrLen {
+				if !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("%s: header cut at %d: err %v, want unexpected EOF", w.name, cut, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: cut at %d: NewReader: %v", w.name, cut, err)
+			}
+			var rec trace.Record
+			for err == nil {
+				err = r.Read(&rec)
+			}
+			switch {
+			case boundary[cut]:
+				if err != io.EOF {
+					t.Fatalf("%s: cut at record boundary %d: err %v, want io.EOF", w.name, cut, err)
+				}
+			case !errors.Is(err, io.ErrUnexpectedEOF):
+				t.Fatalf("%s: cut at %d: err %v, want unexpected EOF", w.name, cut, err)
+			case !strings.Contains(err.Error(), "record ") || !strings.Contains(err.Error(), "(offset "):
+				t.Fatalf("%s: cut at %d: error %q has no record/offset position", w.name, cut, err)
+			}
+		}
+	}
+}
+
+func TestAccessTypesRoundTripJSONAndBinary(t *testing.T) {
+	names := []string{"local_read", "local_write", "rma_read", "rma_write", "rma_accum"}
+	h := trace.Header{Ranks: 2, Window: "w"}
+	for tp, name := range names {
+		rec := trace.Record{Kind: trace.KindAccess, Owner: 1, Rank: 0, Lo: 4, Hi: 7, Type: access.Type(tp), Time: 1}
+		var json1 bytes.Buffer
+		jw, err := trace.NewWriter(&json1, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jw.Record(rec); err != nil {
+			t.Fatal(err)
+		}
+		jw.Flush()
+		if !strings.Contains(json1.String(), `"type":"`+name+`"`) {
+			t.Fatalf("%v: JSON %q lacks wire name %q", access.Type(tp), json1.String(), name)
+		}
+		raw := encode(t, h, []trace.Record{rec})
+		// Seven one-byte fields follow the type byte: code = type + 1.
+		if code := raw[len(raw)-8]; code != byte(tp)+1 {
+			t.Fatalf("%v: RMTB type code %d, want %d", access.Type(tp), code, tp+1)
+		}
+		br, err := NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var json2 bytes.Buffer
+		jw2, err := trace.NewWriter(&json2, br.Head())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Convert(jw2, br); err != nil {
+			t.Fatal(err)
+		}
+		if json2.String() != json1.String() {
+			t.Fatalf("%v: JSON→RMTB→JSON\n got %s\nwant %s", access.Type(tp), json2.String(), json1.String())
+		}
+	}
+}
+
+func TestUnknownTypeCodeCarriesPosition(t *testing.T) {
+	h := trace.Header{Ranks: 2, Window: "w"}
+	raw := encode(t, h, []trace.Record{{Kind: trace.KindEpochEnd, Owner: 0}})
+	off := len(raw)
+	payload := []byte{kindAccess, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0}
+	raw = binary.AppendUvarint(raw, uint64(len(payload)))
+	raw = append(raw, payload...)
+	err := corrupt(t, raw)
+	want := fmt.Sprintf("record 2 (offset %d): unknown access type code 6", off)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %v, want it to contain %q", err, want)
+	}
+	if err := (&Writer{}).Record(trace.Record{Kind: trace.KindAccess, Type: access.Type(5)}); err == nil {
+		t.Fatal("writer encoded an undefined access type")
 	}
 }
