@@ -1,6 +1,8 @@
 package benchkit
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -20,7 +22,10 @@ import (
 // the end-to-end replay throughput, and the bounded-memory policy's
 // peak-RSS profile. Series:
 //
-//	trace-ingest/rN/{json,bin}  decode-only scan; bin carries speedup_x
+//	trace-ingest/rN/{json,bin}  decode-only scan; speedup_x is the
+//	                            ratio to trace-ingest/rN/json-ref
+//	trace-ingest/rN/json-ref    the same JSON lines decoded through
+//	                            trace.UnmarshalRecord (encoding/json)
 //	trace-replay/rN/{json,bin}  full streaming replay, eviction on
 //	trace-rss/rN/growth         same trace at 1x and 4x the epochs:
 //	                            peak live heap must stay ~flat
@@ -83,16 +88,20 @@ func traceIngestResults(quick bool) []Result {
 
 	var out []Result
 
-	// Decode-only: the codec's ingest rate with no analysis attached.
+	// Decode-only: the codec's ingest rate with no analysis attached,
+	// and each reader's speed-up over the encoding/json reference.
+	refScanNs, refRecords := scanReference(jsonPath)
 	jsonScanNs, records := scanTrace(jsonPath)
 	binScanNs, binRecords := scanTrace(binPath)
-	if records != binRecords {
-		panic(fmt.Errorf("benchkit: sweep decode disagrees: %d JSON records, %d binary", records, binRecords))
+	if records != binRecords || records != refRecords {
+		panic(fmt.Errorf("benchkit: sweep decode disagrees: %d JSON records, %d reference, %d binary", records, refRecords, binRecords))
 	}
 	out = append(out,
-		scanResult(fmt.Sprintf("trace-ingest/r%d/json", s.ranks), jsonScanNs, jsonBytes, records, 0),
+		scanResult(fmt.Sprintf("trace-ingest/r%d/json-ref", s.ranks), refScanNs, jsonBytes, records, 0),
+		scanResult(fmt.Sprintf("trace-ingest/r%d/json", s.ranks), jsonScanNs, jsonBytes, records,
+			float64(refScanNs)/float64(jsonScanNs)),
 		scanResult(fmt.Sprintf("trace-ingest/r%d/bin", s.ranks), binScanNs, binBytes, records,
-			float64(jsonScanNs)/float64(binScanNs)))
+			float64(refScanNs)/float64(binScanNs)))
 
 	// Full replay, bounded-memory options on, identical for both formats.
 	jres, jNs, jPeak := replayTrace(jsonPath)
@@ -233,6 +242,40 @@ func scanTrace(path string) (ns int64, records int64) {
 			panic(fmt.Errorf("benchkit: scanning %s: %w", path, err))
 		}
 		records++
+	}
+	return time.Since(start).Nanoseconds(), records
+}
+
+// scanReference decodes every record line of a JSON trace the way the
+// JSON reader did before its in-place path: one ReadBytes per line and
+// trace.UnmarshalRecord, the encoding/json reference decode. It is the
+// fixed yardstick of the ingest speed-ups.
+func scanReference(path string) (ns int64, records int64) {
+	f, err := os.Open(path)
+	if err != nil {
+		panic(err)
+	}
+	defer f.Close()
+	br := bufio.NewReaderSize(f, 1<<16)
+	if _, err := br.ReadBytes('\n'); err != nil {
+		panic(fmt.Errorf("benchkit: reading %s header: %w", path, err))
+	}
+	var rec trace.Record
+	start := time.Now()
+	for {
+		line, err := br.ReadBytes('\n')
+		if line = bytes.TrimSpace(line); len(line) > 0 {
+			if err := trace.UnmarshalRecord(line, &rec); err != nil {
+				panic(fmt.Errorf("benchkit: reference scan of %s: %w", path, err))
+			}
+			records++
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			panic(fmt.Errorf("benchkit: reference scan of %s: %w", path, err))
+		}
 	}
 	return time.Since(start).Nanoseconds(), records
 }

@@ -260,10 +260,12 @@ func (e *Engine) process(rank int, b Batch) {
 		} else {
 			e.flight[rank].Mark(detector.FlightSync, b.Origin)
 		}
+		// Credit the marker before acknowledging it: an acknowledged
+		// sync has been counted (TestShardedSyncBarrier).
+		e.addReceived(rank, 1)
 		if b.Ack != nil {
 			close(b.Ack)
 		}
-		e.addReceived(rank, 1)
 		return
 	}
 	epoch := atomic.LoadUint64(&e.epochs[rank])

@@ -82,15 +82,26 @@ type watchResult struct {
 // watchAsync subscribes to a session's event stream in the background,
 // collecting every progress snapshot until the terminal verdict.
 func watchAsync(client *http.Client, base, session string) chan watchResult {
+	ch, _ := watchAsyncFirst(client, base, session)
+	return ch
+}
+
+// watchAsyncFirst is watchAsync plus a channel closed once the watcher
+// has received its first progress event.
+func watchAsyncFirst(client *http.Client, base, session string) (chan watchResult, chan struct{}) {
 	ch := make(chan watchResult, 1)
+	first := make(chan struct{})
 	go func() {
 		var snaps []obs.ProgressSnapshot
 		v, err := Watch(context.Background(), base, session, client, func(s obs.ProgressSnapshot) {
+			if len(snaps) == 0 {
+				close(first)
+			}
 			snaps = append(snaps, s)
 		})
 		ch <- watchResult{v: v, snaps: snaps, err: err}
 	}()
-	return ch
+	return ch, first
 }
 
 // checkTerminal asserts the invariants every finished watch shares: at
@@ -174,9 +185,18 @@ func TestEventsQueuedSession(t *testing.T) {
 	pr, pw := io.Pipe()
 	done := postAsync(srv.Client(), srv.URL, "queued", pr)
 	id := waitSessions(t, srv.Client(), srv.URL, 3)[0].Session
-	watch := watchAsync(srv.Client(), srv.URL, id)
+	watch, first := watchAsyncFirst(srv.Client(), srv.URL, id)
 
-	// Release the hogs, then feed the queued session.
+	// Release the hogs only once the watcher holds its first snapshot,
+	// taken while the session still waited for a slot; then feed the
+	// queued session.
+	select {
+	case <-first:
+	case res := <-watch:
+		t.Fatalf("watch ended before its first progress event: %+v", res)
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for the first progress event")
+	}
 	for _, w := range hogWriters {
 		if _, err := w.Write(genTrace(t, safeCfg(1), "json")); err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"log/slog"
 	"runtime"
-	"sort"
 
 	"rmarace/internal/detector"
 	"rmarace/internal/engine"
@@ -151,10 +150,16 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 	// cached bool per rare event, not a handler call per record.
 	logOn := log.Enabled(context.Background(), slog.LevelDebug)
 	prog.SetStage(obs.StageIngesting)
-	owners := make(map[int]*ownerState)
+	// owners holds each resident owner's state, indexed by owner and
+	// grown lazily to the highest owner seen: a header may declare far
+	// more ranks than a trace touches. An evicted owner's slot is nil.
+	var owners []*ownerState
 	get := func(owner int) *ownerState {
-		st, ok := owners[owner]
-		if !ok {
+		if owner >= len(owners) {
+			owners = append(owners, make([]*ownerState, owner+1-len(owners))...)
+		}
+		st := owners[owner]
+		if st == nil {
 			st = &ownerState{a: newAnalyzer(owner)}
 			if batch > 1 {
 				st.pending = engine.GetEventBuf()
@@ -383,7 +388,7 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 				// across epochs (shadow cells, clock state) stays resident.
 				if st.coldEpochs >= opts.EvictCold && st.a.Nodes() == 0 {
 					finish(st)
-					delete(owners, r.Owner)
+					owners[r.Owner] = nil
 					res.Evictions++
 					prog.AddEviction()
 					if recOn {
@@ -398,20 +403,19 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 			return res, fmt.Errorf("trace: %s: unknown record kind %q", src.Pos(), r.Kind)
 		}
 	}
-	// Final flush in deterministic owner order, then fold the survivors.
-	ids := make([]int, 0, len(owners))
-	for o := range owners {
-		ids = append(ids, o)
-	}
-	sort.Ints(ids)
-	for _, o := range ids {
-		st := owners[o]
+	// Final flush in owner order, then fold the survivors.
+	for o, st := range owners {
+		if st == nil {
+			continue
+		}
 		if race := flush(st); race != nil {
 			return stamp(o, st, race), nil
 		}
 	}
-	for _, o := range ids {
-		finish(owners[o])
+	for _, st := range owners {
+		if st != nil {
+			finish(st)
+		}
 	}
 	finishIngest()
 	if logOn {

@@ -111,16 +111,6 @@ var typeWireNames = [...]string{
 	access.RMAAccum:   "rma_accum",
 }
 
-// parseType resolves an access type's wire name.
-func parseType(name string) (access.Type, error) {
-	for t, n := range typeWireNames {
-		if n == name {
-			return access.Type(t), nil
-		}
-	}
-	return 0, fmt.Errorf("unknown access type %q", name)
-}
-
 // Sink is the record-writing side shared by both wire formats: the JSON
 // Writer here and the binary tracebin.Writer. Generators (Generate, the
 // fuzzer's reproducer writer, rmarace convert) target the interface so
@@ -216,18 +206,31 @@ type Source interface {
 // Reader deserialises a JSON Lines trace stream. It reads line by line,
 // so decode errors report the 1-based line (the header is line 1) and
 // byte offset of the malformed record.
+//
+// Each line is decoded in place from the bufio buffer. A line in the
+// canonical shape Writer emits takes the allocation-free scan of
+// decodeCanonical; every other line goes to UnmarshalRecord, the
+// encoding/json reference, so the accepted language and the error
+// messages are exactly encoding/json's.
 type Reader struct {
 	r      *bufio.Reader
 	Header Header
-	wire   wireRecord // decode buffer, reused across records
-	line   int        // line number of the last record returned
-	off    int64      // byte offset where the last record started
-	read   int64      // total bytes consumed
+	long   []byte // assembles a line longer than the buffer
+	file   string // last File the canonical scan decoded, reused while equal
+	line   int    // line number of the last record returned
+	off    int64  // byte offset where the last record started
+	read   int64  // total bytes consumed
 }
 
 // NewReader opens a JSON trace stream and reads its header.
 func NewReader(r io.Reader) (*Reader, error) {
-	tr := &Reader{r: bufio.NewReaderSize(r, 1<<16)}
+	return newReaderSize(r, 1<<16)
+}
+
+// newReaderSize is NewReader with a bufio buffer of the given size; the
+// tests shrink it to send every line through longLine.
+func newReaderSize(r io.Reader, size int) (*Reader, error) {
+	tr := &Reader{r: bufio.NewReaderSize(r, size)}
 	raw, err := tr.nextLine()
 	if err != nil {
 		if err == io.EOF {
@@ -244,12 +247,17 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return tr, nil
 }
 
-// nextLine returns the next non-empty line, tracking position.
+// nextLine returns the next non-empty line, tracking position. The
+// slice aliases the bufio buffer (or r.long), so it is valid until the
+// next read.
 func (r *Reader) nextLine() ([]byte, error) {
 	for {
 		r.off = r.read
 		r.line++
-		raw, err := r.r.ReadBytes('\n')
+		raw, err := r.r.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			raw, err = r.longLine(raw)
+		}
 		r.read += int64(len(raw))
 		raw = bytes.TrimSpace(raw)
 		if len(raw) > 0 {
@@ -259,6 +267,19 @@ func (r *Reader) nextLine() ([]byte, error) {
 		}
 		if err != nil {
 			return nil, err
+		}
+	}
+}
+
+// longLine copies a line that overflows the bufio buffer, starting with
+// its first buffer-full fragment, into r.long.
+func (r *Reader) longLine(frag []byte) ([]byte, error) {
+	r.long = append(r.long[:0], frag...)
+	for {
+		frag, err := r.r.ReadSlice('\n')
+		r.long = append(r.long, frag...)
+		if err != bufio.ErrBufferFull {
+			return r.long, err
 		}
 	}
 }
@@ -276,9 +297,22 @@ func (r *Reader) Read(rec *Record) error {
 		}
 		return fmt.Errorf("trace: line %d (offset %d): %w", r.line, r.off, err)
 	}
-	w := &r.wire
-	*w = wireRecord{}
-	err = json.Unmarshal(raw, w)
+	if r.decodeCanonical(raw, rec) {
+		return nil
+	}
+	if err := UnmarshalRecord(raw, rec); err != nil {
+		return fmt.Errorf("trace: line %d (offset %d): %w", r.line, r.off, err)
+	}
+	return nil
+}
+
+// UnmarshalRecord decodes one JSON Lines record with encoding/json. It
+// is the reference definition of the format's accepted language:
+// Reader.Read defers to it for every line outside the canonical shape,
+// and the fuzz target and the ingest benchmark compare against it.
+func UnmarshalRecord(line []byte, rec *Record) error {
+	var w wireRecord
+	err := json.Unmarshal(line, &w)
 	*rec = Record{
 		Kind: w.Kind, Owner: w.Owner, Rank: w.Rank, Lo: w.Lo, Hi: w.Hi,
 		Epoch: w.Epoch, Stack: w.Stack, File: w.File, Line: w.Line,
@@ -286,12 +320,12 @@ func (r *Reader) Read(rec *Record) error {
 		AccumOp: w.AccumOp, StackID: w.StackID,
 	}
 	if err == nil && rec.Kind == KindAccess {
-		rec.Type, err = parseType(w.Type)
+		var ok bool
+		if rec.Type, ok = wireType([]byte(w.Type)); !ok {
+			err = fmt.Errorf("unknown access type %q", w.Type)
+		}
 	}
-	if err != nil {
-		return fmt.Errorf("trace: line %d (offset %d): %w", r.line, r.off, err)
-	}
-	return nil
+	return err
 }
 
 // Pos implements Source.

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -276,5 +278,140 @@ func TestBadAccessTypeCarriesLine(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "line 3 (offset ") || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want line 3 and %q", tc.line, err, tc.want)
 		}
+	}
+}
+
+// readAll decodes every record of a JSON stream: the records, and nil or
+// the first error.
+func readAll(t *testing.T, raw string) ([]Record, error) {
+	t.Helper()
+	r, err := NewReader(strings.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []Record
+	for {
+		var rec Record
+		if err := r.Read(&rec); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return recs, err
+		}
+		recs = append(recs, rec)
+	}
+}
+
+// TestReaderLongLine: a line longer than the 64 KiB buffer takes the
+// copying path, decodes whole, and keeps later lines' positions exact.
+func TestReaderLongLine(t *testing.T) {
+	const head = `{"kind":"header","ranks":2,"window":"w"}` + "\n"
+	file := strings.Repeat("f", 70_000)
+	long := `{"kind":"access","owner":1,"rank":0,"lo":8,"hi":15,"type":"rma_write","file":"` + file + `","line":3}` + "\n"
+	spaced := `{"kind":"access", "owner":0,"rank":1,"type":"rma_read","file":"` + file + `"}` + "\n"
+	bad := `{"kind":"access","owner":0,"rank":0,"type":"rma_wrote"}` + "\n"
+	recs, err := readAll(t, head+long+spaced+bad)
+	want := []Record{
+		{Kind: KindAccess, Owner: 1, Lo: 8, Hi: 15, Type: access.RMAWrite, File: file, Line: 3},
+		{Kind: KindAccess, Rank: 1, Type: access.RMARead, File: file},
+	}
+	if !slices.Equal(recs, want) {
+		t.Fatalf("long lines decoded to %d records, want the %d expected", len(recs), len(want))
+	}
+	pos := fmt.Sprintf("line 4 (offset %d)", len(head)+len(long)+len(spaced))
+	if err == nil || !strings.Contains(err.Error(), pos) || !strings.Contains(err.Error(), `unknown access type "rma_wrote"`) {
+		t.Fatalf("error after long lines = %v, want %s", err, pos)
+	}
+}
+
+// TestReaderLineEndings: CRLF endings, blank and whitespace-only lines
+// and a final line without a newline all decode, and blank lines count
+// toward the reported line number.
+func TestReaderLineEndings(t *testing.T) {
+	raw := "{\"kind\":\"header\",\"ranks\":2,\"window\":\"w\"}\r\n" +
+		"\r\n" +
+		"{\"kind\":\"access\",\"owner\":0,\"rank\":1,\"type\":\"local_write\"}\r\n" +
+		"  \t\n" +
+		"\n" +
+		"{\"kind\":\"epoch_end\",\"owner\":1,\"rank\":0}"
+	recs, err := readAll(t, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Record{{Kind: KindAccess, Rank: 1, Type: access.LocalWrite}, {Kind: KindEpochEnd, Owner: 1}}
+	if !slices.Equal(recs, want) {
+		t.Fatalf("records %+v, want %+v", recs, want)
+	}
+	bad := strings.TrimSuffix(raw, `}`)
+	if _, err := readAll(t, bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("line 6 (offset %d)", strings.LastIndexByte(raw, '\n')+1)) {
+		t.Fatalf("truncated final line: error %v, want line 6", err)
+	}
+}
+
+// TestReaderMalformedAfterCanonical: a malformed line after many
+// canonical ones (several buffer refills) keeps its line and offset.
+func TestReaderMalformedAfterCanonical(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, Header{Ranks: 4, Window: "w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20_000
+	for i := 0; i < n; i++ {
+		ev := sampleEvent(uint64(i*8), uint64(i*8+7), access.RMAWrite, i%4)
+		if err := w.Record(AccessRecord(i%4, ev)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Flush()
+	off := buf.Len()
+	buf.WriteString(`{"kind":"access","owner":0,"rank":0,"lo":1.5,"type":"rma_read"}` + "\n")
+	recs, err := readAll(t, buf.String())
+	if len(recs) != n {
+		t.Fatalf("decoded %d records before the bad line, want %d", len(recs), n)
+	}
+	pos := fmt.Sprintf("trace: line %d (offset %d): ", n+2, off)
+	if err == nil || !strings.HasPrefix(err.Error(), pos) {
+		t.Fatalf("error %v, want prefix %q", err, pos)
+	}
+}
+
+// TestReaderSteadyStateAllocs pins the canonical decode allocation-free:
+// once the reader has seen a record's file name, reading a Writer-shaped
+// record allocates nothing.
+func TestReaderSteadyStateAllocs(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, Header{Ranks: 8, Window: "w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 512; i++ {
+		rec := AccessRecord(i%4, sampleEvent(uint64(i*8), uint64(i*8+7), access.Type(i%5), i%8))
+		rec.AccumOp, rec.StackID, rec.Filtered = uint8(i), uint32(i), i%3 == 0
+		if err := w.Record(rec); err != nil {
+			t.Fatal(err)
+		}
+		if i%64 == 63 {
+			if err := w.Record(Record{Kind: KindEpochEnd, Owner: i % 4}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	w.Flush()
+	r, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec Record
+	if err := r.Read(&rec); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(400, func() {
+		if err := r.Read(&rec); err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("steady-state Read allocates %.2f objects/op, want 0", avg)
 	}
 }
