@@ -15,8 +15,8 @@ import (
 
 	"rmarace/internal/access"
 	"rmarace/internal/apps/cfdproxy"
-	"rmarace/internal/benchkit"
 	"rmarace/internal/apps/minivite"
+	"rmarace/internal/benchkit"
 	"rmarace/internal/codes"
 	"rmarace/internal/core"
 	"rmarace/internal/detector"
@@ -372,7 +372,7 @@ func BenchmarkAblationStridedMerging(b *testing.B) {
 }
 
 // BenchmarkAblationUnbalanced contrasts the stabbing query across the
-// pluggable store backends at equal size — the balanced AVL interval
+// pluggable store backends at equal size — the balanced itree interval
 // tree against the legacy lower-bound descent (the §4.2 complexity
 // claim), plus the shadow-memory and regular-section representations.
 func BenchmarkAblationUnbalanced(b *testing.B) {

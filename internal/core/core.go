@@ -1,8 +1,8 @@
 // Package core implements the paper's contribution: the new insertion
 // algorithm for RMA-Analyzer's memory-access BST (Algorithm 1), built
 // from the fragmentation algorithm of §4.1 and the merging algorithm of
-// §4.2 over a pluggable access store (package store; the balanced AVL
-// interval tree of package itree by default).
+// §4.2 over a pluggable access store (package store; the balanced
+// interval tree of package itree, a B-tree, by default).
 //
 // Given a new access, the analyzer
 //
@@ -35,7 +35,7 @@ import (
 // Analyzer is the contribution's per-(process, window) analysis state.
 // It implements detector.Analyzer (and detector.BatchAnalyzer, for the
 // batched notification pipeline). The zero value is ready to use with
-// the default AVL store.
+// the default itree store.
 type Analyzer struct {
 	st          store.AccessStore
 	accesses    uint64
@@ -113,7 +113,7 @@ func WithOwner(rank int) Option {
 }
 
 // WithStore runs Algorithm 1 over the given storage backend instead of
-// the default AVL interval tree. Backends without the complete-stab
+// the default itree interval tree. Backends without the complete-stab
 // guarantee (the legacy lower-bound BST) reintroduce the corresponding
 // published defects; that is the point of the ablation.
 func WithStore(s store.AccessStore) Option {
@@ -121,7 +121,7 @@ func WithStore(s store.AccessStore) Option {
 }
 
 // WithStoreFactory makes the analyzer build its backend with fn
-// instead of the default AVL tree. Unlike WithStore it hands every
+// instead of the default itree store. Unlike WithStore it hands every
 // analyzer (and, under sharding, every shard) its own instance, which
 // is what the single-owner serialisation discipline requires.
 func WithStoreFactory(fn func() store.AccessStore) Option {
@@ -533,12 +533,13 @@ func (z *Analyzer) bumpMaxNodes() {
 func (z *Analyzer) MaxNodes() int { return z.maxNodes }
 
 // Compact implements detector.Compacter: it releases the analyzer's
-// retained capacity — the insertion hot path's scratch buffers, the
-// strided section buffer, and the store's own retained capacity
-// (store.Compact; the AVL free list) — without touching live analysis
-// state, so verdicts are unaffected. The bounded-memory trace replay
-// calls it at epoch boundaries; the next epoch re-grows the buffers on
-// demand.
+// retained capacity — the insertion hot path's scratch buffers and the
+// strided section buffer — and trims the store's (store.Compact; the
+// itree free list, cut to the tree's high-water mark since the last
+// Compact) without touching live analysis state, so verdicts are
+// unaffected. The bounded-memory trace replay calls it at epoch
+// boundaries; the next epoch re-grows the buffers on demand, while a
+// tree that refills to its previous size reuses its kept nodes.
 func (z *Analyzer) Compact() {
 	z.scratch = nil
 	z.fragScratch = nil

@@ -194,8 +194,9 @@ func AccessBatch(a Analyzer, evs []Event) *Race {
 
 // Compacter is the optional memory-compaction capability of an
 // analyzer: Compact releases retained capacity that exists only to
-// amortise allocation — store node free lists, scratch buffers — without
-// touching live analysis state, so it is always verdict-preserving. The
+// amortise allocation — scratch buffers, store node free lists beyond
+// the store's high-water mark since the last Compact — without touching
+// live analysis state, so it is always verdict-preserving. The
 // bounded-memory trace replay calls it at epoch boundaries to keep peak
 // RSS flat across many-owner streams.
 type Compacter interface {

@@ -64,8 +64,8 @@ type Config struct {
 	StridedMerging bool
 	// Store selects the storage backend the contribution analyzer runs
 	// Algorithm 1 over ("avl", "legacy", "shadow", "strided"; package
-	// internal/store). Empty means the default AVL interval tree. Only
-	// meaningful for OurContribution.
+	// internal/store). Empty means the default itree interval tree
+	// ("avl"). Only meaningful for OurContribution.
 	Store string
 	// Shards splits each (rank, window) analyzer into this many
 	// granule-striped shards (power of two), each driven by its own

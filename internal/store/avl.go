@@ -6,9 +6,11 @@ import (
 	"rmarace/internal/itree"
 )
 
-// AVL adapts the balanced AVL interval tree of package itree — the
-// contribution's storage — to the AccessStore interface. It implements
-// every optional capability: the single-traversal StabNeighbors and the
+// AVL adapts the balanced interval tree of package itree — the
+// contribution's storage — to the AccessStore interface. The tree is a
+// B-tree; the adapter keeps the name "avl" (CLI flag, conformance
+// baseline) from the AVL tree it used to wrap. It implements every
+// optional capability: the single-traversal StabNeighbors and the
 // in-place ExtendHi/ExtendLo carry the merge fast path of Algorithm 1.
 type AVL struct {
 	tree itree.Tree
@@ -59,10 +61,12 @@ func (s *AVL) Clear() { s.tree.Clear() }
 // Len implements AccessStore.
 func (s *AVL) Len() int { return s.tree.Len() }
 
-// Compact implements Compacter: it drops the tree's recycled-node free
-// list (the retained capacity that dominates a post-epoch tree's
-// footprint), trading the next epoch's allocation-free refill for a
-// flat memory profile.
+// Compact implements Compacter: it trims the tree's recycled-node free
+// list to the tree's high-water mark since the previous Compact
+// (itree.ReleaseFree). A tree that refills to the same size every epoch
+// keeps exactly the nodes it needs and refills without allocating; a
+// tree that stayed at its live size, such as a cold owner's emptied
+// one, releases every free node.
 func (s *AVL) Compact() { s.tree.ReleaseFree() }
 
 var (

@@ -13,7 +13,7 @@ import (
 // measured "stab-query depth" of Algorithm 1's single traversal.
 //
 // The decorator forwards the optional capabilities through the
-// package-level helpers, so a wrapped AVL backend keeps its
+// package-level helpers, so a wrapped itree backend keeps its
 // single-traversal hot path and a wrapped legacy backend keeps its
 // published defects. Extender is special: its signature carries only
 // the interval, so the decorator claims it only when the backend

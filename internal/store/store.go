@@ -1,10 +1,11 @@
 // Package store defines the storage layer of the detector stack: the
 // AccessStore interface every analyzer holds its per-(process, window)
 // memory accesses in, together with adapters for the four concrete
-// structures the reproduction compares — the balanced AVL interval tree
-// of package itree (the contribution's store), the legacy lower-bound
-// BST of package legacybst, the TSan-style shadow memory of package
-// shadow, and the regular-section compression of package strided.
+// structures the reproduction compares — the balanced interval tree
+// (a B-tree) of package itree (the contribution's store, named "avl"),
+// the legacy lower-bound BST of package legacybst, the TSan-style
+// shadow memory of package shadow, and the regular-section compression
+// of package strided.
 //
 // The split makes backends swappable underneath a fixed detection
 // algorithm (cmd/rmarace replay -store=..., BenchmarkAblationUnbalanced)
@@ -17,7 +18,7 @@
 // insertion, neighbour-returning stabs, in-place extension, per-rank
 // retirement — are optional interfaces with generic fallbacks, so the
 // contribution's hot path keeps its allocation-free single traversal on
-// the AVL backend while still running, more slowly, on any other.
+// the itree backend while still running, more slowly, on any other.
 package store
 
 import (
@@ -42,7 +43,7 @@ type AccessStore interface {
 	Delete(iv interval.Interval) bool
 	// Stab calls fn for stored accesses intersecting iv, stopping early
 	// if fn returns false, and reports whether the visit ran to
-	// completion. Backends define their own completeness: the AVL tree
+	// completion. Backends define their own completeness: the itree
 	// visits every intersection, the legacy BST only those on its
 	// lower-bound descent path (the published false-negative defect).
 	Stab(iv interval.Interval, fn func(access.Access) bool) bool
@@ -265,10 +266,11 @@ func RemoveRankSpan(s AccessStore, rank int, iv interval.Interval) {
 }
 
 // Compacter is the optional memory-compaction capability: Compact
-// releases capacity retained purely to amortise allocation (node free
-// lists, spare buffers) without touching stored accesses, so it is
-// always verdict-preserving. Backends without retained capacity simply
-// don't implement it.
+// releases capacity retained purely to amortise allocation (spare
+// buffers, node free lists beyond what the store needed since its last
+// compaction) without touching stored accesses, so it is always
+// verdict-preserving. Backends without retained capacity simply don't
+// implement it.
 type Compacter interface {
 	Compact()
 }
@@ -295,8 +297,8 @@ func Items(s AccessStore) []access.Access {
 // Names lists the selectable backends in presentation order.
 func Names() []string { return []string{"avl", "legacy", "shadow", "strided"} }
 
-// New builds a backend by name. The AVL interval tree is the default
-// store of the contribution; the others exist for ablation and
+// New builds a backend by name. The itree interval tree ("avl") is the
+// default store of the contribution; the others exist for ablation and
 // comparison runs.
 func New(name string) (AccessStore, error) {
 	switch name {

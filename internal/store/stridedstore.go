@@ -43,7 +43,7 @@ type run struct {
 // MiniVite's attribute accesses on 24-byte-strided records, which plain
 // merging cannot coalesce because they are not adjacent — collapse into
 // regular sections (§6(3), after Ketterlin & Clauss), while everything
-// else lives in an AVL interval tree. Stab reports section elements as
+// else lives in an itree interval tree. Stab reports section elements as
 // individual representative accesses, so detection logic on top sees
 // the same multiset a plain tree would hold.
 type Strided struct {

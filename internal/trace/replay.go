@@ -55,11 +55,13 @@ type ReplayOpts struct {
 	// post-epoch state is dropped; it bounds the resident analyzer set
 	// to the stream's hot owners on many-rank traces.
 	EvictCold int
-	// Compact, when set, releases retained analyzer capacity (store
-	// node free lists, scratch buffers) at every epoch boundary through
-	// the detector.Compacter capability. Steady-state replays trade the
-	// free lists' zero-allocation refill for a flat memory profile —
-	// the bounded-RSS mode of the 10k-rank sweep.
+	// Compact, when set, releases retained analyzer capacity at every
+	// epoch boundary through the detector.Compacter capability: scratch
+	// buffers are dropped and each store node free list is trimmed to
+	// its tree's high-water mark since the previous boundary. A hot
+	// owner that refills to the same size keeps its nodes and refills
+	// without allocating; a cold owner releases everything — the
+	// bounded-RSS mode of the 10k-rank sweep.
 	Compact bool
 	// Recorder receives the replay's ingest metrics: trace_ingest_bytes
 	// and trace_ingest_records counters, the analyzer_evictions counter
